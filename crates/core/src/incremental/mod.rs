@@ -7,11 +7,14 @@
 //! *mutable*: new records compute their signatures through the same
 //! [`parallel_map`] path as one-shot blocking and are **appended** to the
 //! per-band bucket shards — no signature of an existing record is ever
-//! recomputed, and buckets the batch does not touch are left alone. The
-//! shards themselves are cached per band as stable-hash bucket maps, so an
-//! insert pays O(1) per bucket it lands in, and each band's shard is updated
-//! by its own [`parallel_map_mut`] worker with the results stitched back in
-//! deterministic band order.
+//! recomputed, and buckets the batch does not touch are left alone. Each
+//! band keeps its buckets in stable-hash maps, so an insert pays O(1) per
+//! bucket it lands in, and each band is updated by its own
+//! [`parallel_map_mut`] worker with the results stitched back in
+//! deterministic band order. A band's buckets are split over a fixed number
+//! of `Arc`-shared sub-maps, so a write after
+//! [`IncrementalSaLshBlocker::publish_view`] copies only the sub-maps it
+//! writes, never the whole band.
 //!
 //! # Delta pairs
 //!
@@ -72,6 +75,7 @@
 //! the same family (which, for datasets whose records reach every leaf, is
 //! exactly what Algorithm 1 derives; NC Voter does at any realistic scale).
 
+mod band;
 mod state;
 mod view;
 
@@ -87,7 +91,6 @@ use rand::SeedableRng;
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::record::RecordPair;
 use sablock_datasets::{DatasetError, Record, RecordId, Schema, MAX_RECORD_ID};
-use sablock_textual::hashing::StableHashMap;
 
 use crate::blocking::{
     merge_packed_runs_into, radix_sort_packed, Block, BlockCollection, EntityTableProbe, PackedProbe, PairCounts,
@@ -99,6 +102,8 @@ use crate::minhash::shingle::RecordShingler;
 use crate::minhash::{MinHasher, MinhashConfig};
 use crate::parallel::{parallel_map, parallel_map_mut, resolve_threads};
 use crate::semantic::semhash::SemhashFamily;
+
+use band::{BandIndex, Bucket, BucketKey};
 
 /// The candidate pairs one ingest batch added to Γ, as sorted and
 /// individually deduplicated packed-`u64` runs (one run per band; a pair
@@ -285,63 +290,26 @@ struct IncrementalSemantic {
     band_hashes: Vec<WWaySemanticHash>,
 }
 
-/// One bucket of a band shard: members in ascending id order (tombstoned
-/// members linger until compaction) plus the count of members currently
-/// tombstoned.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    members: Vec<RecordId>,
-    dead: u32,
-}
-
-impl Bucket {
-    /// Whether the bucket's dead fraction has reached the compaction
-    /// threshold. A threshold of 0.0 compacts on the first tombstone; a
-    /// threshold above 1.0 never compacts.
-    fn compaction_due(&self, threshold: f64) -> bool {
-        self.dead > 0 && f64::from(self.dead) >= threshold * self.members.len() as f64
-    }
-
-    /// Rebuilds the bucket in place, dropping tombstoned members. Keeps the
-    /// ascending-id member order, so snapshots are byte-identical before and
-    /// after.
-    fn compact(&mut self, removed: &[bool]) {
-        self.members.retain(|member| !removed[member.index()]);
-        self.dead = 0;
-    }
-}
-
-/// One band's bucket shard: `(textual bucket key, semantic sub-key)` →
-/// [`Bucket`]. Plain LSH stores everything under sub-key 0. A deterministic
-/// (seeded FxHash) map, so lookups are O(1) on the insert hot path; every
-/// order-sensitive consumer (snapshots) sorts the touched keys, which
-/// reproduces the previous ordered-map iteration byte for byte.
-///
-/// Shards are held behind [`Arc`]s so that publishing a read-only
-/// [`IndexView`] is O(bands): the view shares the shard allocations, and the
-/// next mutation copies only the shards it actually touches
-/// ([`Arc::make_mut`] — copy-on-write).
-type BandIndex = StableHashMap<(u64, u64), Bucket>;
-
 /// A back-reference from a record to one bucket it occupies — the removal
 /// path enumerates exactly these instead of scanning the index.
 #[derive(Debug, Clone, Copy)]
 struct BucketRef {
     band: usize,
-    key: (u64, u64),
+    key: BucketKey,
 }
 
 /// What one band's ingest worker hands back: the `(bucket key, record)`
-/// placements it applied to its own shard (sorted by key, ids ascending
-/// within a key — the source of the back-references) and the band's sorted,
-/// deduplicated delta run.
+/// placements it applied to its own band (sorted by key, ids ascending
+/// within a key — the source of the back-references), the band's sorted,
+/// deduplicated delta run, and how many shared sub-maps it had to copy.
 struct BandOutcome {
-    touched: Vec<((u64, u64), RecordId)>,
+    touched: Vec<(BucketKey, RecordId)>,
     delta_run: Vec<u64>,
+    cow_copies: u64,
 }
 
-/// Default dead fraction at which a `(band, bucket)` shard is compacted in
-/// place after a removal touches it.
+/// Default dead fraction at which a bucket is compacted in place after a
+/// removal touches it.
 pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 
 /// Incremental LSH / SA-LSH blocking (see the module docs).
@@ -351,10 +319,10 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 /// or directly from the builder via
 /// [`SaLshBlockerBuilder::into_incremental`](crate::lsh::salsh::SaLshBlockerBuilder::into_incremental).
 ///
-/// The index is one bucket shard per band, keyed by
+/// The index is one bucket index per band, keyed by
 /// `(textual bucket key, semantic sub-key)` — plain LSH uses a constant
 /// sub-key of 0 — with members kept in ascending id order (batches arrive in
-/// id order and append). Sorting each shard's keys and walking the shards in
+/// id order and append). Sorting each band's keys and walking the bands in
 /// band order reproduces exactly the deterministic band-order merge of the
 /// one-shot sharded bucket phase.
 #[derive(Debug, Clone)]
@@ -376,6 +344,9 @@ pub struct IncrementalSaLshBlocker {
     running: RunningCounts,
     compaction_threshold: f64,
     compactions: u64,
+    /// Sub-maps copied because a published view (or a clone) still shared
+    /// them. Runtime-only: not part of [`IndexDump`].
+    cow_copies: u64,
     next_id: u32,
     removed: Vec<bool>,
     removed_count: usize,
@@ -416,7 +387,7 @@ impl IncrementalSaLshBlocker {
         };
         let hasher = MinHasher::from_config(&minhash);
         // One Arc per band — `vec![Arc::new(..); n]` would alias a single
-        // allocation across all bands and defeat the per-band copy-on-write.
+        // allocation across all bands.
         let bands = (0..banding.bands()).map(|_| Arc::new(BandIndex::default())).collect();
         Ok(Self {
             shingler,
@@ -431,6 +402,7 @@ impl IncrementalSaLshBlocker {
             running: RunningCounts::default(),
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
             compactions: 0,
+            cow_copies: 0,
             next_id: 0,
             removed: Vec::new(),
             removed_count: 0,
@@ -508,27 +480,14 @@ impl IncrementalSaLshBlocker {
     /// buckets compacted. Observation-equivalent: snapshots, running counts
     /// and future deltas are unchanged.
     pub fn compact(&mut self) -> u64 {
-        let removed = &self.removed;
         let mut compacted = 0u64;
         for band in &mut self.bands {
-            // Skip clean shards before `Arc::make_mut`: a forced compaction
-            // must not deep-copy shards shared with published views unless
-            // it actually rewrites them.
-            if !band.values().any(|bucket| bucket.dead > 0) {
-                continue;
+            // Skip clean bands before `Arc::make_mut`: a forced compaction
+            // must not copy anything shared with published views unless it
+            // actually rewrites it.
+            if band.has_dead() {
+                compacted += Arc::make_mut(band).compact(&self.removed, &mut self.cow_copies);
             }
-            let band = Arc::make_mut(band);
-            // Visit order over the shard is irrelevant: each bucket is
-            // compacted independently and the count is order-free.
-            band.retain(|_, bucket| {
-                if bucket.dead == 0 {
-                    return true;
-                }
-                bucket.compact(removed);
-                crate::invariants::check_bucket_tombstones(&bucket.members, bucket.dead, removed, "forced compaction");
-                compacted += 1;
-                !bucket.members.is_empty()
-            });
         }
         self.compactions += compacted;
         compacted
@@ -542,12 +501,15 @@ impl IncrementalSaLshBlocker {
 
     /// Publishes an immutable [`IndexView`] of the current index state.
     ///
-    /// O(bands) plus the live-record bookkeeping: the per-band bucket shards
-    /// are shared by [`Arc`], not copied — the blocker's next mutation
-    /// copies only the shards it touches ([`Arc::make_mut`]), so the view
-    /// stays frozen at the publication point forever. This is the engine
-    /// under snapshot/epoch service layers: one writer keeps mutating, any
-    /// number of readers query their view without locks.
+    /// The bands are shared by [`Arc`], not copied: O(bands). The view
+    /// does copy the per-record bookkeeping — the tombstone flags (a
+    /// `Vec<bool>`, one byte per record) and the entity annotations (four
+    /// bytes per annotated record). After publication the blocker's next
+    /// write copies only the sub-maps it touches, with their buckets — at
+    /// most one sub-map per band for a one-row insert or removal — so the
+    /// view stays frozen at the publication point forever. This is the
+    /// engine under snapshot/epoch service layers: one writer keeps
+    /// mutating, any number of readers query their view without locks.
     pub fn publish_view(&self) -> IndexView {
         IndexView::capture(self)
     }
@@ -705,19 +667,18 @@ impl IncrementalSaLshBlocker {
             self.entity_of.extend_from_slice(entities);
         }
 
-        // Each band's bucket shard is independent, so placements, delta
-        // pairs and the shard update itself run per band in parallel
-        // (`parallel_map_mut` — each worker owns its band's map), with
-        // outcomes stitched back in ascending band order so every derived
-        // structure is deterministic for any worker count.
+        // Each band is independent, so placements, delta pairs and the band
+        // update itself run per band in parallel (`parallel_map_mut` — each
+        // worker owns its band), with outcomes stitched back in ascending
+        // band order so every derived structure is deterministic for any
+        // worker count.
         let removed: &[bool] = &self.removed;
         let banding = &self.banding;
         let semantic = &self.semantic;
-        let mut shards: Vec<(usize, &mut BandIndex)> =
-            self.bands.iter_mut().map(Arc::make_mut).enumerate().collect();
+        let mut shards: Vec<(usize, &mut Arc<BandIndex>)> = self.bands.iter_mut().enumerate().collect();
         let outcomes: Vec<BandOutcome> = parallel_map_mut(&mut shards, threads, |(band, index)| {
             let band = *band;
-            let mut slots: Vec<((u64, u64), RecordId)> = Vec::new();
+            let mut slots: Vec<(BucketKey, RecordId)> = Vec::new();
             for (offset, signature) in signatures.iter().enumerate() {
                 if shingles[offset].is_empty() {
                     continue;
@@ -741,10 +702,13 @@ impl IncrementalSaLshBlocker {
             // Delta pairs of this band: existing live members × new members,
             // plus the new-member pairs, per touched bucket. Old ids are all
             // smaller than new ids and members are ascending, so every pair
-            // packs ascending without canonicalisation. The shard update
+            // packs ascending without canonicalisation. The band update
             // itself happens in the same pass: one O(1) bucket lookup per
-            // touched bucket, untouched buckets never rewritten.
+            // touched bucket, in a sub-map copied first only if a published
+            // view still shares it; untouched sub-maps are never rewritten.
+            let index = Arc::make_mut(index);
             let mut delta_run: Vec<u64> = Vec::new();
+            let mut cow_copies = 0u64;
             let mut start = 0usize;
             while start < slots.len() {
                 let key = slots[start].0;
@@ -753,7 +717,7 @@ impl IncrementalSaLshBlocker {
                     end += 1;
                 }
                 let new_members = &slots[start..end];
-                let bucket = index.entry(key).or_default();
+                let bucket = index.sub_map_mut(&key, &mut cow_copies).entry(key).or_default();
                 for &old in &bucket.members {
                     if removed[old.index()] {
                         continue;
@@ -772,7 +736,7 @@ impl IncrementalSaLshBlocker {
             }
             radix_sort_packed(&mut delta_run);
             delta_run.dedup();
-            BandOutcome { touched: slots, delta_run }
+            BandOutcome { touched: slots, delta_run, cow_copies }
         });
         drop(shards);
 
@@ -794,6 +758,7 @@ impl IncrementalSaLshBlocker {
                 self.bucket_refs[id.index()].push(BucketRef { band, key });
             }
             runs.push(outcome.delta_run);
+            self.cow_copies += outcome.cow_copies;
         }
 
         // Fold the delta into the running counters in the same single merge
@@ -891,13 +856,19 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         self.running.true_positives -= retired_matching;
 
         // Tombstone accounting per touched bucket, with bucket-local
-        // compaction once the dead fraction reaches the threshold.
+        // compaction once the dead fraction reaches the threshold. Only the
+        // sub-maps holding the record's buckets are written (one per band:
+        // all of a band's sub-keys share the textual key's sub-map), and a
+        // lookup that misses copies nothing.
         let removed: &[bool] = &self.removed;
         let threshold = self.compaction_threshold;
         let mut compacted = 0u64;
         for reference in &refs {
-            let band = Arc::make_mut(&mut self.bands[reference.band]);
-            let Some(bucket) = band.get_mut(&reference.key) else {
+            if self.bands[reference.band].get(&reference.key).is_none() {
+                continue;
+            }
+            let map = Arc::make_mut(&mut self.bands[reference.band]).sub_map_mut(&reference.key, &mut self.cow_copies);
+            let Some(bucket) = map.get_mut(&reference.key) else {
                 continue;
             };
             bucket.dead += 1;
@@ -907,7 +878,7 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
                 crate::invariants::check_bucket_tombstones(&bucket.members, bucket.dead, removed, "threshold compaction");
                 compacted += 1;
                 if bucket.members.is_empty() {
-                    band.remove(&reference.key);
+                    map.remove(&reference.key);
                 }
             }
         }
@@ -926,18 +897,16 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
     }
 }
 
-/// Renders the per-band bucket shards as a [`BlockCollection`] — the shared
+/// Renders the per-band buckets as a [`BlockCollection`] — the shared
 /// implementation of [`IncrementalBlocker::snapshot`] and
 /// [`IndexView::snapshot`].
 fn snapshot_bands(bands: &[Arc<BandIndex>], removed: &[bool], semantic: bool) -> BlockCollection {
     let mut blocks = Vec::new();
     for (band, buckets) in bands.iter().enumerate() {
-        // The shard is a hash map for O(1) inserts; snapshot order is
+        // The buckets live in hash maps for O(1) inserts; snapshot order is
         // restored by sorting the keys, reproducing the ordered-map
         // iteration of the one-shot bucket phase byte for byte.
-        let mut entries: Vec<(&(u64, u64), &Bucket)> = buckets.iter().collect();
-        entries.sort_unstable_by_key(|(key, _)| **key);
-        for (&(bucket, sub), shard) in entries {
+        for (&(bucket, sub), shard) in buckets.sorted() {
             let live: Vec<RecordId> = shard.members.iter().copied().filter(|id| !removed[id.index()]).collect();
             if live.len() < 2 {
                 continue;

@@ -1,7 +1,7 @@
 //! Exportable mutable state of an incremental index (persistence support).
 //!
 //! [`IndexDump`] is everything an [`IncrementalSaLshBlocker`] accumulates at
-//! runtime — bucket shards, tombstones, entity annotations, running counters
+//! runtime — buckets, tombstones, entity annotations, running counters
 //! — decoupled from its *configuration* (shingler, minhash permutations,
 //! banding, pinned semantic family), which is deterministic from the builder
 //! and therefore never serialised. A persistence layer encodes the dump in
@@ -71,12 +71,10 @@ impl IncrementalSaLshBlocker {
             .bands
             .iter()
             .map(|band| {
-                let mut buckets: Vec<BucketDump> = band
-                    .iter()
+                band.sorted()
+                    .into_iter()
                     .map(|(&key, bucket)| BucketDump { key, members: bucket.members.clone(), dead: bucket.dead })
-                    .collect();
-                buckets.sort_unstable_by_key(|bucket| bucket.key);
-                buckets
+                    .collect()
             })
             .collect();
         let batches_ingested = self.batches_ingested as u64;
@@ -191,11 +189,11 @@ impl IncrementalSaLshBlocker {
             .bands
             .into_iter()
             .map(|buckets| {
-                let mut band = BandIndex::default();
-                for bucket in buckets {
-                    band.insert(bucket.key, Bucket { members: bucket.members, dead: bucket.dead });
-                }
-                Arc::new(band)
+                let buckets = buckets
+                    .into_iter()
+                    .map(|bucket| (bucket.key, Bucket { members: bucket.members, dead: bucket.dead }))
+                    .collect();
+                Arc::new(BandIndex::from_buckets(buckets))
             })
             .collect();
         self.bucket_refs = bucket_refs;

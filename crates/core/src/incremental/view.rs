@@ -2,13 +2,19 @@
 //!
 //! [`IndexView`] is the reader half of a single-writer/many-reader split:
 //! [`IncrementalSaLshBlocker::publish_view`] freezes the current index state
-//! behind shared [`Arc`]s in O(bands), and the view then answers candidate
-//! lookups ([`IndexView::candidates`]) and snapshots without ever touching
-//! the writer again — the writer's next mutation copies the shards it
-//! touches ([`Arc::make_mut`]) instead of mutating the shared ones. Views
-//! are `Send + Sync` (the semantic function is `Send + Sync` by trait
-//! bound), so a service layer can hand clones of one view to any number of
-//! query threads, lock-free.
+//! and the view then answers candidate lookups ([`IndexView::candidates`])
+//! and snapshots without ever touching the writer again.
+//!
+//! What publication costs: the bands are shared behind [`Arc`]s, O(bands).
+//! The per-record bookkeeping is copied — the tombstone flags (a
+//! `Vec<bool>`, one byte per record) and the entity annotations (four bytes
+//! per annotated record). After publication the writer's next mutation
+//! copies only the sub-maps it touches, with their buckets, instead of
+//! mutating the shared ones: a one-row insert or removal copies at most one
+//! sub-map per band ([`IndexView::num_cow_copies`] counts them). Views are
+//! `Send + Sync` (the semantic function is `Send + Sync` by trait bound), so
+//! a service layer can hand clones of one view to any number of query
+//! threads, lock-free.
 //!
 //! # Query/one-shot equivalence
 //!
@@ -37,8 +43,8 @@ use crate::minhash::MinHasher;
 use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, IncrementalSemantic, RunningCounts};
 
 /// An immutable view of an [`IncrementalSaLshBlocker`] frozen at a
-/// publication point (see the module docs). Cloning a view is cheap — the
-/// bucket shards are shared, only the bookkeeping vectors are copied.
+/// publication point (see the module docs). Cloning a view shares the
+/// bands and copies the per-record bookkeeping vectors.
 #[derive(Debug, Clone)]
 pub struct IndexView {
     name: String,
@@ -53,6 +59,7 @@ pub struct IndexView {
     next_id: u32,
     removed_count: usize,
     compactions: u64,
+    cow_copies: u64,
 }
 
 impl IndexView {
@@ -72,6 +79,7 @@ impl IndexView {
             next_id: blocker.next_id,
             removed_count: blocker.removed_count,
             compactions: blocker.compactions,
+            cow_copies: blocker.cow_copies,
         }
     }
 
@@ -155,6 +163,14 @@ impl IndexView {
     pub fn num_compactions(&self) -> u64 {
         self.compactions
     }
+
+    /// Number of bucket sub-maps the index's writer had copied at the
+    /// publication point because a published view (or a clone of the
+    /// index) still shared them. Counted since the index was built or
+    /// restored; not part of [`IndexDump`](super::IndexDump).
+    pub fn num_cow_copies(&self) -> u64 {
+        self.cow_copies
+    }
 }
 
 /// The shared probe-lookup implementation of [`IndexView::candidates`] and
@@ -226,6 +242,7 @@ mod tests {
     use super::*;
     use crate::blocking::Blocker;
     use sablock_datasets::Schema;
+    use std::collections::BTreeSet;
 
     /// The reference lookup: the partners one-shot blocking pairs a probe
     /// with are exactly the records sharing a block with it.
@@ -290,6 +307,78 @@ mod tests {
         assert_eq!(late.snapshot().blocks(), incremental.snapshot().blocks());
         assert_eq!(late.running_counts(), incremental.running_counts());
         assert_eq!(early.next_record_id(), RecordId(4));
+    }
+
+    /// The `(band, sub-map)` slots holding a record's buckets.
+    fn sub_maps_of(blocker: &IncrementalSaLshBlocker, id: RecordId) -> BTreeSet<(usize, usize)> {
+        blocker.bucket_refs[id.index()]
+            .iter()
+            .map(|reference| (reference.band, BandIndex::sub_map_of(reference.key)))
+            .collect()
+    }
+
+    /// Every sub-map outside `touched` is still the view's allocation, and
+    /// every one inside it has been copied away from the view.
+    fn assert_only_touched_copied(
+        blocker: &IncrementalSaLshBlocker,
+        view: &IndexView,
+        touched: &BTreeSet<(usize, usize)>,
+    ) {
+        for (band, (head, frozen)) in blocker.bands.iter().zip(&view.bands).enumerate() {
+            for (sub, (mine, theirs)) in head.sub_maps().iter().zip(frozen.sub_maps()).enumerate() {
+                let copied = !Arc::ptr_eq(mine, theirs);
+                assert_eq!(copied, touched.contains(&(band, sub)), "band {band} sub-map {sub}");
+            }
+        }
+    }
+
+    /// With a view held, a one-row insert or removal copies the sub-maps
+    /// holding the record's buckets — at most one per band — and nothing
+    /// else, the same number on a 1k- and an 8k-record index; with no view
+    /// held it copies nothing.
+    #[test]
+    fn one_row_writes_copy_at_most_one_sub_map_per_band() {
+        use sablock_datasets::{CoraConfig, CoraGenerator};
+
+        let dataset = CoraGenerator::new(CoraConfig { num_records: 8_001, ..CoraConfig::small() })
+            .generate()
+            .unwrap();
+        let (corpus, rest) = dataset.records().split_at(8_000);
+        let schema = Arc::clone(rest[0].schema());
+        let row = rest[0].values().to_vec();
+        let mut increments = Vec::new();
+        for size in [1_000usize, 8_000] {
+            let (_, mut blocker) = salsh_pair();
+            let bands = blocker.bands.len();
+            blocker.insert_batch(&corpus[..size]).unwrap();
+
+            // No view held: the writer owns every sub-map and copies none.
+            blocker.insert_values(&schema, vec![row.clone()]).unwrap();
+            blocker.remove(RecordId(0)).unwrap();
+            assert_eq!(blocker.cow_copies, 0, "size {size}: writes with no view held copy nothing");
+
+            // View held: a one-row insert copies the row's sub-maps only.
+            let view = blocker.publish_view();
+            let inserted = blocker.next_record_id();
+            blocker.insert_values(&schema, vec![row.clone()]).unwrap();
+            let touched = sub_maps_of(&blocker, inserted);
+            let insert_copies = blocker.cow_copies;
+            assert!(!touched.is_empty(), "the row lands in some bucket");
+            assert_eq!(insert_copies, touched.len() as u64, "size {size}");
+            assert!(insert_copies as usize <= bands, "size {size}: {insert_copies} copies");
+            assert_only_touched_copied(&blocker, &view, &touched);
+            assert_eq!(blocker.publish_view().num_cow_copies(), insert_copies);
+
+            // A fresh view shares everything again; removing the row copies
+            // only the sub-maps holding its buckets.
+            let view = blocker.publish_view();
+            blocker.remove(inserted).unwrap();
+            let remove_copies = blocker.cow_copies - insert_copies;
+            assert_eq!(remove_copies, touched.len() as u64, "size {size}");
+            assert_only_touched_copied(&blocker, &view, &touched);
+            increments.push((insert_copies, remove_copies));
+        }
+        assert_eq!(increments[0], increments[1], "copies per one-row write do not grow with the index");
     }
 
     #[test]

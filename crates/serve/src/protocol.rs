@@ -11,15 +11,17 @@
 //! | `QUERYK\t<k>\t<v1>…` | `OK <n> <id:score>…` — top-`k` by Jaccard; over budget: `OK DEGRADED <n> <id>…` (unranked) |
 //! | `INSERT\t<v1>\t<v2>…` | `OK <id> epoch <e>` — ingests the row, echoes its id |
 //! | `REMOVE\t<id>` | `OK removed <id> epoch <e>` (`OK absent …` when already removed) |
-//! | `STATS` | `OK epoch <e> records <n> live <l> tombstoned <t> compactions <c> pairs <Γ> shed <s> degraded <d> wal <base>:<bytes> q50us <p50> q99us <p99>` |
+//! | `STATS` | `OK epoch <e> records <n> live <l> tombstoned <t> compactions <c> cow <w> pairs <Γ> shed <s> degraded <d> wal <base>:<bytes> q50us <p50> q99us <p99>` |
 //! | `SAVE\t<path>` | `OK saved <path>` — checksummed snapshot of the index |
 //! | `CHECKPOINT` | `OK checkpoint <epoch>` — durable services only: snapshot + WAL rotation |
 //! | `QUIT` | `OK bye` and the connection/loop ends |
 //!
 //! `STATS` reports `wal -` for an in-memory service and latencies as whole
-//! microseconds over the queries served so far. An overloaded front-end may
-//! answer any request with `RETRY <ms>` — resend after the suggested delay
-//! ([`crate::client`] does this automatically).
+//! microseconds over the queries served so far. `cow` counts the index
+//! sub-maps the writer copied because a published epoch still shared them,
+//! since the process started (it is not persisted). An overloaded front-end
+//! may answer any request with `RETRY <ms>` — resend after the suggested
+//! delay ([`crate::client`] does this automatically).
 //!
 //! An empty value field means the attribute is missing (`None`); rows
 //! shorter than the schema are padded with missing values. Malformed
@@ -29,6 +31,7 @@
 //! [`RequestLimits::max_line_bytes`] *before* buffering it, so a malicious
 //! client cannot drive unbounded allocation.
 
+use std::fmt::Write as _;
 use std::io::BufRead;
 use std::time::{Duration, Instant};
 
@@ -178,18 +181,25 @@ pub fn parse_request(line: &str, schema_width: usize) -> Result<Request> {
     }
 }
 
+// Replies are written into one buffer sized for the whole line up front:
+// an id takes at most 11 bytes with its separator (`u32::MAX` has 10
+// digits) and `:<score>` adds 7 for scores in [0, 1]. Writing into a
+// `String` cannot fail, so the `fmt::Result`s are discarded.
+
 fn render_ids(prefix: &str, ids: &[RecordId]) -> String {
-    let mut out = format!("{prefix} {}", ids.len());
+    let mut out = String::with_capacity(prefix.len() + 12 + 11 * ids.len());
+    let _ = write!(out, "{prefix} {}", ids.len());
     for id in ids {
-        out.push_str(&format!(" {}", id.0));
+        let _ = write!(out, " {}", id.0);
     }
     out
 }
 
 fn render_scored(scored: &[(RecordId, f64)]) -> String {
-    let mut out = format!("OK {}", scored.len());
+    let mut out = String::with_capacity(16 + 18 * scored.len());
+    let _ = write!(out, "OK {}", scored.len());
     for (id, score) in scored {
-        out.push_str(&format!(" {}:{score:.4}", id.0));
+        let _ = write!(out, " {}:{score:.4}", id.0);
     }
     out
 }
@@ -205,13 +215,14 @@ fn render_stats(service: &CandidateService) -> String {
         None => "-".to_string(),
     };
     format!(
-        "OK epoch {} records {} live {} tombstoned {} compactions {} pairs {} shed {} degraded {} \
+        "OK epoch {} records {} live {} tombstoned {} compactions {} cow {} pairs {} shed {} degraded {} \
          wal {wal} q50us {} q99us {}",
         state.epoch(),
         view.num_records(),
         view.num_live_records(),
         view.num_removed(),
         view.num_compactions(),
+        view.num_cow_copies(),
         view.running_counts().pairs,
         metrics.shed(),
         metrics.degraded(),
@@ -368,7 +379,7 @@ mod tests {
         // Freshly built, nothing counted: every field renders, in order.
         assert_eq!(
             handle_line(&service, "STATS").reply(),
-            "OK epoch 0 records 0 live 0 tombstoned 0 compactions 0 pairs 0 shed 0 degraded 0 \
+            "OK epoch 0 records 0 live 0 tombstoned 0 compactions 0 cow 0 pairs 0 shed 0 degraded 0 \
              wal - q50us 0 q99us 0"
         );
         handle_line(&service, "INSERT\ta theory for record linkage\tfellegi");
@@ -377,7 +388,7 @@ mod tests {
         let stats = handle_line(&service, "STATS");
         assert_eq!(
             stats.reply().split(" q50us ").next().unwrap(),
-            "OK epoch 3 records 2 live 1 tombstoned 1 compactions 12 pairs 0 shed 0 degraded 0 wal -"
+            "OK epoch 3 records 2 live 1 tombstoned 1 compactions 12 cow 36 pairs 0 shed 0 degraded 0 wal -"
         );
 
         // Queries move the latency percentiles off zero...

@@ -5,9 +5,9 @@
 //!
 //! * **Readers** grab the current [`EpochState`] — one `Arc` clone under a
 //!   briefly held read lock — and then query it with no locks at all. An
-//!   epoch is immutable forever: its [`IndexView`] shares the index shards
-//!   by `Arc` and its [`RecordStore`] shares the record chunks, so holding
-//!   an old epoch costs memory, never correctness.
+//!   epoch is immutable forever: its [`IndexView`] shares the index's
+//!   bucket sub-maps by `Arc` and its [`RecordStore`] shares the record
+//!   chunks, so holding an old epoch costs memory, never correctness.
 //! * **The writer** serialises all mutations through one internal lock,
 //!   applies each [`WriteOp`] to its private copy-on-write head (the next
 //!   epoch in the making), and **atomically publishes** the new epoch by
