@@ -77,18 +77,12 @@ impl Repr {
 /// worker count). The TF-IDF model's document frequencies are a global
 /// statistic, so that variant fits the model sequentially after the value
 /// pass and chunks only the per-record vectorisation ([`parallel_map`]).
-fn prepare_repr(
-    similarity: CanopySimilarity,
-    dataset: &Dataset,
-    key: &BlockingKey,
-    threads: Option<usize>,
-) -> (Vec<String>, Repr) {
+fn prepare_repr(similarity: CanopySimilarity, dataset: &Dataset, key: &BlockingKey) -> (Vec<String>, Repr) {
     match similarity {
         CanopySimilarity::Jaccard { q } => {
             let q = q.max(1);
             let pairs: Vec<(String, StableHashSet<String>)> = build_index_chunked(
                 dataset.records(),
-                threads,
                 |records: &[Record]| {
                     records
                         .iter()
@@ -112,13 +106,11 @@ fn prepare_repr(
         CanopySimilarity::TfIdfCosine => {
             let values: Vec<String> = build_index_chunked(
                 dataset.records(),
-                threads,
                 |records: &[Record]| records.iter().map(|r| key.value(r)).collect::<Vec<String>>(),
                 |merged, partial| merged.extend(partial),
             );
             let model = TfIdfModel::fit(values.iter());
-            let resolved = resolve_threads(threads, values.len());
-            let vectors = parallel_map(&values, resolved, |v| model.vectorize(v));
+            let vectors = parallel_map(&values, resolve_threads(values.len()), |v| model.vectorize(v));
             (values, Repr::TfIdf(vectors))
         }
     }
@@ -147,7 +139,6 @@ pub struct CanopyThreshold {
     loose: f64,
     tight: f64,
     seed: u64,
-    threads: Option<usize>,
 }
 
 impl CanopyThreshold {
@@ -170,21 +161,12 @@ impl CanopyThreshold {
             loose,
             tight,
             seed: 0xCA11,
-            threads: None,
         })
     }
 
     /// Sets the seed used to pick canopy centres.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Pins the worker-thread count for the representation build and the
-    /// per-centre similarity scans (clamped to at least 1). Canopy output is
-    /// identical for every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 }
@@ -202,8 +184,8 @@ impl Blocker for CanopyThreshold {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let (values, repr) = prepare_repr(self.similarity, dataset, &self.key, self.threads);
-        let threads = resolve_threads(self.threads, dataset.len());
+        let (values, repr) = prepare_repr(self.similarity, dataset, &self.key);
+        let threads = resolve_threads(dataset.len());
 
         // Candidate pool: records with a non-empty key, in random order.
         let mut pool: Vec<usize> = (0..values.len()).filter(|&i| !values[i].is_empty()).collect();
@@ -254,7 +236,6 @@ pub struct CanopyNearestNeighbour {
     include_nearest: usize,
     remove_nearest: usize,
     seed: u64,
-    threads: Option<usize>,
 }
 
 impl CanopyNearestNeighbour {
@@ -275,21 +256,12 @@ impl CanopyNearestNeighbour {
             include_nearest,
             remove_nearest,
             seed: 0xCA22,
-            threads: None,
         })
     }
 
     /// Sets the seed used to pick canopy centres.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Pins the worker-thread count for the representation build and the
-    /// per-centre similarity scans (clamped to at least 1). Canopy output is
-    /// identical for every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 }
@@ -307,8 +279,8 @@ impl Blocker for CanopyNearestNeighbour {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let (values, repr) = prepare_repr(self.similarity, dataset, &self.key, self.threads);
-        let threads = resolve_threads(self.threads, dataset.len());
+        let (values, repr) = prepare_repr(self.similarity, dataset, &self.key);
+        let threads = resolve_threads(dataset.len());
 
         let mut pool: Vec<usize> = (0..values.len()).filter(|&i| !values[i].is_empty()).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -362,6 +334,7 @@ impl Blocker for CanopyNearestNeighbour {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sablock_core::parallel::with_threads;
     use sablock_datasets::dataset::DatasetBuilder;
     use sablock_datasets::RecordId;
     use sablock_datasets::ground_truth::EntityId;
@@ -449,12 +422,13 @@ mod tests {
     fn thread_count_does_not_change_canopies() {
         let ds = papers();
         for similarity in [CanopySimilarity::Jaccard { q: 2 }, CanopySimilarity::TfIdfCosine] {
-            let single = CanopyThreshold::new(key(), similarity, 0.8, 0.4).unwrap().with_threads(1).block(&ds).unwrap();
-            let quad = CanopyThreshold::new(key(), similarity, 0.8, 0.4).unwrap().with_threads(4).block(&ds).unwrap();
-            assert_eq!(single.blocks(), quad.blocks(), "{similarity:?}");
-            let single = CanopyNearestNeighbour::new(key(), similarity, 1, 2).unwrap().with_threads(1).block(&ds).unwrap();
-            let quad = CanopyNearestNeighbour::new(key(), similarity, 1, 2).unwrap().with_threads(4).block(&ds).unwrap();
-            assert_eq!(single.blocks(), quad.blocks(), "{similarity:?}");
+            let threshold = CanopyThreshold::new(key(), similarity, 0.8, 0.4).unwrap();
+            let nearest = CanopyNearestNeighbour::new(key(), similarity, 1, 2).unwrap();
+            for blocker in [&threshold as &dyn Blocker, &nearest] {
+                let single = with_threads(1, || blocker.block(&ds)).unwrap();
+                let quad = with_threads(4, || blocker.block(&ds)).unwrap();
+                assert_eq!(single.blocks(), quad.blocks(), "{}", blocker.name());
+            }
         }
     }
 

@@ -69,21 +69,17 @@ pub(crate) fn record_id_of_index(index: usize) -> sablock_datasets::RecordId {
 /// long as `merge_into` appends posting lists, the merged index is
 /// byte-identical to a sequential build for every worker count. The worker
 /// count comes from [`resolve_threads`](sablock_core::parallel::resolve_threads):
-/// explicit configuration wins, otherwise datasets of at least
+/// a [`with_threads`](sablock_core::parallel::with_threads) pin wins,
+/// otherwise datasets of at least
 /// [`PARALLEL_THRESHOLD`](sablock_core::parallel::PARALLEL_THRESHOLD)
 /// records parallelise automatically.
-pub(crate) fn build_index_chunked<M, F, G>(
-    records: &[sablock_datasets::Record],
-    threads: Option<usize>,
-    index_chunk: F,
-    mut merge_into: G,
-) -> M
+pub(crate) fn build_index_chunked<M, F, G>(records: &[sablock_datasets::Record], index_chunk: F, mut merge_into: G) -> M
 where
     M: Send,
     F: Fn(&[sablock_datasets::Record]) -> M + Sync,
     G: FnMut(&mut M, M),
 {
-    let threads = sablock_core::parallel::resolve_threads(threads, records.len());
+    let threads = sablock_core::parallel::resolve_threads(records.len());
     if threads <= 1 || records.len() <= INDEX_CHUNK_RECORDS {
         return index_chunk(records);
     }

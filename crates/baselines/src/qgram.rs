@@ -27,7 +27,6 @@ pub struct QGramBlocking {
     q: usize,
     threshold: f64,
     max_sublists_per_record: usize,
-    threads: Option<usize>,
 }
 
 impl QGramBlocking {
@@ -45,15 +44,7 @@ impl QGramBlocking {
             q,
             threshold,
             max_sublists_per_record: 64,
-            threads: None,
         })
-    }
-
-    /// Fixes the worker count of the bucket construction (by default large
-    /// datasets parallelise automatically; blocks are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 
     /// Caps the number of sub-lists generated per record (default 64); keys
@@ -124,7 +115,7 @@ impl Blocker for QGramBlocking {
             }
             buckets
         };
-        let buckets = build_index_chunked(dataset.records(), self.threads, bucket_chunk, |buckets, partial| {
+        let buckets = build_index_chunked(dataset.records(), bucket_chunk, |buckets, partial| {
             for (k, mut ids) in partial {
                 buckets.entry(k).or_default().append(&mut ids);
             }

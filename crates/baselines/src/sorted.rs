@@ -36,7 +36,7 @@ use crate::{build_index_chunked, INDEX_CHUNK_RECORDS};
 /// byte-identical to a sequential extract-and-sort for every worker count
 /// (ties between equal keys resolve by record id, which the chunking never
 /// reorders).
-fn sorted_by_key(dataset: &Dataset, key: &BlockingKey, threads: Option<usize>) -> Vec<(String, RecordId)> {
+fn sorted_by_key(dataset: &Dataset, key: &BlockingKey) -> Vec<(String, RecordId)> {
     let records = dataset.records();
     let extract = |records: &[Record]| -> Vec<(String, RecordId)> {
         let mut entries: Vec<(String, RecordId)> = records
@@ -53,7 +53,7 @@ fn sorted_by_key(dataset: &Dataset, key: &BlockingKey, threads: Option<usize>) -
         entries.sort();
         entries
     };
-    let threads = resolve_threads(threads, records.len());
+    let threads = resolve_threads(records.len());
     if threads <= 1 || records.len() <= INDEX_CHUNK_RECORDS {
         return extract(records);
     }
@@ -66,7 +66,6 @@ fn sorted_by_key(dataset: &Dataset, key: &BlockingKey, threads: Option<usize>) -
 pub struct SortedNeighbourhoodArray {
     key: BlockingKey,
     window: usize,
-    threads: Option<usize>,
 }
 
 impl SortedNeighbourhoodArray {
@@ -76,14 +75,7 @@ impl SortedNeighbourhoodArray {
         if window < 2 {
             return Err(CoreError::Config("the sorted-neighbourhood window must be at least 2".into()));
         }
-        Ok(Self { key, window, threads: None })
-    }
-
-    /// Fixes the worker count of the sort-key extraction (by default large
-    /// datasets parallelise automatically; blocks are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
+        Ok(Self { key, window })
     }
 
     /// The window size.
@@ -99,7 +91,7 @@ impl Blocker for SortedNeighbourhoodArray {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let sorted = sorted_by_key(dataset, &self.key, self.threads);
+        let sorted = sorted_by_key(dataset, &self.key);
         let mut blocks = Vec::new();
         if sorted.len() >= 2 {
             for (i, window) in sorted.windows(self.window.min(sorted.len())).enumerate() {
@@ -116,7 +108,6 @@ impl Blocker for SortedNeighbourhoodArray {
 pub struct SortedNeighbourhoodInverted {
     key: BlockingKey,
     window: usize,
-    threads: Option<usize>,
 }
 
 impl SortedNeighbourhoodInverted {
@@ -125,16 +116,9 @@ impl SortedNeighbourhoodInverted {
         if window < 2 {
             return Err(CoreError::Config("the sorted-neighbourhood window must be at least 2".into()));
         }
-        Ok(Self { key, window, threads: None })
+        Ok(Self { key, window })
     }
 
-    /// Fixes the worker count of the inverted-index construction (by default
-    /// large datasets parallelise automatically; blocks are identical either
-    /// way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
 }
 
 impl Blocker for SortedNeighbourhoodInverted {
@@ -150,7 +134,6 @@ impl Blocker for SortedNeighbourhoodInverted {
         // list stays in record order for every worker count.
         let index: HashMap<String, Vec<RecordId>> = build_index_chunked(
             dataset.records(),
-            self.threads,
             |records: &[Record]| {
                 let mut index: HashMap<String, Vec<RecordId>> = HashMap::new();
                 for record in records {
@@ -194,7 +177,6 @@ pub struct AdaptiveSortedNeighbourhood {
     similarity: SimilarityFunction,
     threshold: f64,
     max_block_size: usize,
-    threads: Option<usize>,
 }
 
 impl AdaptiveSortedNeighbourhood {
@@ -210,7 +192,6 @@ impl AdaptiveSortedNeighbourhood {
             similarity,
             threshold,
             max_block_size: 100,
-            threads: None,
         })
     }
 
@@ -218,14 +199,6 @@ impl AdaptiveSortedNeighbourhood {
     /// cannot degenerate into one giant block.
     pub fn with_max_block_size(mut self, size: usize) -> Self {
         self.max_block_size = size.max(2);
-        self
-    }
-
-    /// Fixes the worker count of the sort-key extraction (the adaptive
-    /// window scan itself is inherently sequential; blocks are identical for
-    /// every worker count).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 }
@@ -242,7 +215,7 @@ impl Blocker for AdaptiveSortedNeighbourhood {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let sorted = sorted_by_key(dataset, &self.key, self.threads);
+        let sorted = sorted_by_key(dataset, &self.key);
         let mut blocks = Vec::new();
         let mut current: Vec<RecordId> = Vec::new();
         let mut previous_key: Option<&str> = None;
@@ -273,6 +246,7 @@ impl Blocker for AdaptiveSortedNeighbourhood {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sablock_core::parallel::with_threads;
     use sablock_datasets::dataset::DatasetBuilder;
     use sablock_datasets::ground_truth::EntityId;
     use sablock_datasets::Schema;
@@ -400,28 +374,22 @@ mod tests {
     #[test]
     fn with_threads_does_not_change_blocks() {
         let ds = people();
-        for window in [2usize, 4] {
-            let sequential = SortedNeighbourhoodArray::new(last_first_key(), window).unwrap().block(&ds).unwrap();
-            let threaded = SortedNeighbourhoodArray::new(last_first_key(), window)
-                .unwrap()
-                .with_threads(4)
-                .block(&ds)
-                .unwrap();
-            assert_eq!(sequential.blocks(), threaded.blocks(), "SorA w={window}");
+        let blockers: Vec<(&str, Box<dyn Blocker>)> = vec![
+            ("SorA w=2", Box::new(SortedNeighbourhoodArray::new(last_first_key(), 2).unwrap())),
+            ("SorA w=4", Box::new(SortedNeighbourhoodArray::new(last_first_key(), 4).unwrap())),
+            ("SorII", Box::new(SortedNeighbourhoodInverted::new(last_first_key(), 2).unwrap())),
+            (
+                "ASor",
+                Box::new(
+                    AdaptiveSortedNeighbourhood::new(last_first_key(), SimilarityFunction::JaroWinkler, 0.8).unwrap(),
+                ),
+            ),
+        ];
+        for (name, blocker) in blockers {
+            let sequential = blocker.block(&ds).unwrap();
+            let threaded = with_threads(4, || blocker.block(&ds)).unwrap();
+            assert_eq!(sequential.blocks(), threaded.blocks(), "{name}");
         }
-        let sequential = SortedNeighbourhoodInverted::new(last_first_key(), 2).unwrap().block(&ds).unwrap();
-        let threaded = SortedNeighbourhoodInverted::new(last_first_key(), 2).unwrap().with_threads(4).block(&ds).unwrap();
-        assert_eq!(sequential.blocks(), threaded.blocks(), "SorII");
-        let adaptive = |t: Option<usize>| {
-            let blocker = AdaptiveSortedNeighbourhood::new(last_first_key(), SimilarityFunction::JaroWinkler, 0.8).unwrap();
-            match t {
-                Some(t) => blocker.with_threads(t),
-                None => blocker,
-            }
-            .block(&ds)
-            .unwrap()
-        };
-        assert_eq!(adaptive(None).blocks(), adaptive(Some(4)).blocks(), "ASor");
     }
 
     #[test]

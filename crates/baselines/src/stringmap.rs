@@ -105,13 +105,7 @@ struct Prepared {
     cell: f64,
 }
 
-fn prepare(
-    dataset: &Dataset,
-    key: &BlockingKey,
-    dimensions: usize,
-    grid_cell: f64,
-    threads: Option<usize>,
-) -> Result<Option<Prepared>> {
+fn prepare(dataset: &Dataset, key: &BlockingKey, dimensions: usize, grid_cell: f64) -> Result<Option<Prepared>> {
     key.validate_against(dataset)?;
     // Key extraction is chunked through `build_index_chunked` (records are
     // dense, so `record.id().index()` is the global position and per-chunk
@@ -119,7 +113,6 @@ fn prepare(
     // pass for every worker count).
     let keyed: Vec<(usize, String)> = build_index_chunked(
         dataset.records(),
-        threads,
         |records: &[Record]| {
             records
                 .iter()
@@ -137,8 +130,7 @@ fn prepare(
     // Embedding a string costs `3 · dimensions` edit-distance evaluations —
     // the dominant cost of string-map blocking — and each string embeds
     // independently, so the projection runs across workers.
-    let resolved = resolve_threads(threads, strings.len());
-    let points: Vec<Vec<f64>> = parallel_map(&strings, resolved, |s| embedding.embed(s));
+    let points: Vec<Vec<f64>> = parallel_map(&strings, resolve_threads(strings.len()), |s| embedding.embed(s));
 
     let cell = grid_cell.max(1e-9);
     let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
@@ -174,7 +166,6 @@ pub struct StringMapThreshold {
     grid_cell: f64,
     similarity: SimilarityFunction,
     threshold: f64,
-    threads: Option<usize>,
 }
 
 impl StringMapThreshold {
@@ -197,16 +188,7 @@ impl StringMapThreshold {
             grid_cell,
             similarity,
             threshold,
-            threads: None,
         })
-    }
-
-    /// Pins the worker-thread count for the embedding and candidate-search
-    /// phases (clamped to at least 1). Output is identical for every thread
-    /// count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 }
 
@@ -223,7 +205,7 @@ impl Blocker for StringMapThreshold {
     }
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
-        let Some(prepared) = prepare(dataset, &self.key, self.dimensions, self.grid_cell, self.threads)? else {
+        let Some(prepared) = prepare(dataset, &self.key, self.dimensions, self.grid_cell)? else {
             return Ok(BlockCollection::new());
         };
         // Each embedded point's candidate search is independent: the grid
@@ -231,7 +213,7 @@ impl Blocker for StringMapThreshold {
         // check read only shared immutable state, so the per-record loop runs
         // across workers and stitches blocks back in record order.
         let indices: Vec<usize> = (0..prepared.keyed.len()).collect();
-        let threads = resolve_threads(self.threads, prepared.keyed.len());
+        let threads = resolve_threads(prepared.keyed.len());
         let blocks: Vec<Option<Block>> = parallel_map(&indices, threads, |&idx| {
             let mut members = vec![record_id_of_index(prepared.keyed[idx].0)];
             for other in neighbourhood(&prepared, idx) {
@@ -262,7 +244,6 @@ pub struct StringMapNearestNeighbour {
     dimensions: usize,
     grid_cell: f64,
     neighbours: usize,
-    threads: Option<usize>,
 }
 
 impl StringMapNearestNeighbour {
@@ -283,16 +264,7 @@ impl StringMapNearestNeighbour {
             dimensions,
             grid_cell,
             neighbours,
-            threads: None,
         })
-    }
-
-    /// Pins the worker-thread count for the embedding and candidate-search
-    /// phases (clamped to at least 1). Output is identical for every thread
-    /// count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 }
 
@@ -308,7 +280,7 @@ impl Blocker for StringMapNearestNeighbour {
     }
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
-        let Some(prepared) = prepare(dataset, &self.key, self.dimensions, self.grid_cell, self.threads)? else {
+        let Some(prepared) = prepare(dataset, &self.key, self.dimensions, self.grid_cell)? else {
             return Ok(BlockCollection::new());
         };
         // Per-record nearest-neighbour searches are independent reads of
@@ -316,7 +288,7 @@ impl Blocker for StringMapNearestNeighbour {
         // workers; the stable sort keeps equal distances in neighbourhood
         // order, which is itself deterministic.
         let indices: Vec<usize> = (0..prepared.keyed.len()).collect();
-        let threads = resolve_threads(self.threads, prepared.keyed.len());
+        let threads = resolve_threads(prepared.keyed.len());
         let blocks: Vec<Option<Block>> = parallel_map(&indices, threads, |&idx| {
             let mut candidates: Vec<(usize, f64)> = neighbourhood(&prepared, idx)
                 .into_iter()
@@ -341,6 +313,7 @@ impl Blocker for StringMapNearestNeighbour {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sablock_core::parallel::with_threads;
     use sablock_datasets::dataset::DatasetBuilder;
     use sablock_datasets::RecordId;
     use sablock_datasets::ground_truth::EntityId;
@@ -438,12 +411,13 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_blocks() {
         let ds = people();
-        let build_t = |t: usize| {
-            StringMapThreshold::new(key(), 6, 2.0, SimilarityFunction::JaroWinkler, 0.85).unwrap().with_threads(t)
-        };
-        assert_eq!(build_t(1).block(&ds).unwrap().blocks(), build_t(4).block(&ds).unwrap().blocks());
-        let build_nn = |t: usize| StringMapNearestNeighbour::new(key(), 6, 5.0, 2).unwrap().with_threads(t);
-        assert_eq!(build_nn(1).block(&ds).unwrap().blocks(), build_nn(4).block(&ds).unwrap().blocks());
+        let threshold = StringMapThreshold::new(key(), 6, 2.0, SimilarityFunction::JaroWinkler, 0.85).unwrap();
+        let nearest = StringMapNearestNeighbour::new(key(), 6, 5.0, 2).unwrap();
+        for blocker in [&threshold as &dyn Blocker, &nearest] {
+            let single = with_threads(1, || blocker.block(&ds)).unwrap();
+            let quad = with_threads(4, || blocker.block(&ds)).unwrap();
+            assert_eq!(single.blocks(), quad.blocks(), "{}", blocker.name());
+        }
     }
 
     #[test]

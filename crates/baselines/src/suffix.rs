@@ -72,7 +72,6 @@ fn build_index(
     min_len: usize,
     all_substrings: bool,
     substring_cap: usize,
-    threads: Option<usize>,
 ) -> BTreeMap<String, Vec<RecordId>> {
     let index_chunk = |records: &[Record]| {
         let mut index: BTreeMap<String, Vec<RecordId>> = BTreeMap::new();
@@ -92,7 +91,7 @@ fn build_index(
         }
         index
     };
-    build_index_chunked(dataset.records(), threads, index_chunk, |index, partial| {
+    build_index_chunked(dataset.records(), index_chunk, |index, partial| {
         for (k, mut ids) in partial {
             index.entry(k).or_default().append(&mut ids);
         }
@@ -105,7 +104,6 @@ pub struct SuffixArrayBlocking {
     key: BlockingKey,
     min_suffix_len: usize,
     max_block_size: usize,
-    threads: Option<usize>,
 }
 
 impl SuffixArrayBlocking {
@@ -117,15 +115,7 @@ impl SuffixArrayBlocking {
             key,
             min_suffix_len,
             max_block_size,
-            threads: None,
         })
-    }
-
-    /// Fixes the worker count of the index construction (by default large
-    /// datasets parallelise automatically; blocks are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 }
 
@@ -136,7 +126,7 @@ impl Blocker for SuffixArrayBlocking {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let index = build_index(dataset, &self.key, self.min_suffix_len, false, usize::MAX, self.threads);
+        let index = build_index(dataset, &self.key, self.min_suffix_len, false, usize::MAX);
         let blocks = index
             .into_iter()
             .filter(|(_, members)| members.len() >= 2 && members.len() <= self.max_block_size)
@@ -153,7 +143,6 @@ pub struct AllSubstringsBlocking {
     min_suffix_len: usize,
     max_block_size: usize,
     substring_cap: usize,
-    threads: Option<usize>,
 }
 
 impl AllSubstringsBlocking {
@@ -165,20 +154,12 @@ impl AllSubstringsBlocking {
             min_suffix_len,
             max_block_size,
             substring_cap: 512,
-            threads: None,
         })
     }
 
     /// Caps the number of substrings generated per record (default 512).
     pub fn with_substring_cap(mut self, cap: usize) -> Self {
         self.substring_cap = cap.max(1);
-        self
-    }
-
-    /// Fixes the worker count of the index construction (by default large
-    /// datasets parallelise automatically; blocks are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 }
@@ -190,7 +171,7 @@ impl Blocker for AllSubstringsBlocking {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let index = build_index(dataset, &self.key, self.min_suffix_len, true, self.substring_cap, self.threads);
+        let index = build_index(dataset, &self.key, self.min_suffix_len, true, self.substring_cap);
         let blocks = index
             .into_iter()
             .filter(|(_, members)| members.len() >= 2 && members.len() <= self.max_block_size)
@@ -208,7 +189,6 @@ pub struct RobustSuffixArrayBlocking {
     max_block_size: usize,
     similarity: SimilarityFunction,
     threshold: f64,
-    threads: Option<usize>,
 }
 
 impl RobustSuffixArrayBlocking {
@@ -232,15 +212,7 @@ impl RobustSuffixArrayBlocking {
             max_block_size,
             similarity,
             threshold,
-            threads: None,
         })
-    }
-
-    /// Fixes the worker count of the index construction (by default large
-    /// datasets parallelise automatically; blocks are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 }
 
@@ -260,7 +232,7 @@ impl Blocker for RobustSuffixArrayBlocking {
         self.key.validate_against(dataset)?;
         // BTreeMap keeps the suffix array sorted, which is what "adjacent
         // suffixes" refers to.
-        let index = build_index(dataset, &self.key, self.min_suffix_len, false, usize::MAX, self.threads);
+        let index = build_index(dataset, &self.key, self.min_suffix_len, false, usize::MAX);
         let entries: Vec<(String, Vec<RecordId>)> = index.into_iter().collect();
 
         let mut blocks: Vec<Block> = Vec::new();

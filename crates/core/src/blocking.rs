@@ -110,7 +110,7 @@ fn packed_pair_run(blocks: &[Block]) -> Vec<u64> {
 }
 
 /// Counts accumulated by one streaming pass over the distinct candidate-pair
-/// set Γ (see [`BlockCollection::stream_pair_counts`]): the pairs themselves
+/// set Γ (see [`BlockCollection::stream_packed_counts`]): the pairs themselves
 /// are never materialised, only counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PairCounts {
@@ -575,7 +575,7 @@ impl BlockCollection {
     ///
     /// This materialises all of Γ — at paper scale that is gigabytes. Callers
     /// that only need counts (metrics, `|Γ|`, true-positive tallies) should
-    /// use [`BlockCollection::stream_pair_counts`], which is semantically
+    /// use [`BlockCollection::stream_packed_counts`], which is semantically
     /// identical but never holds the full set.
     pub fn distinct_pairs(&self) -> Vec<RecordPair> {
         let runs = self.packed_runs(default_threads());
@@ -587,47 +587,16 @@ impl BlockCollection {
     /// Number of distinct candidate pairs `|Γ|`, computed by the streaming
     /// counter — the full pair set is never materialised.
     pub fn num_distinct_pairs(&self) -> u64 {
-        self.stream_pair_counts(|_: &RecordPair| false).distinct
+        self.stream_packed_counts(|_: &RecordPair| false).distinct
     }
 
     /// Streams the distinct candidate-pair set Γ through a counting fold
     /// instead of materialising it: returns `|Γ|` plus the number of distinct
     /// pairs the probe accepts (with ground truth as the probe, `|Γ_tp|`).
     /// Each distinct pair is probed exactly once, in ascending order within
-    /// its pair-space slice.
-    ///
-    /// Closure-probe convenience wrapper around
-    /// [`BlockCollection::stream_packed_counts`]; bulk callers that can
-    /// phrase their probe over packed keys (such as
-    /// [`EntityTableProbe`] for ground truth) should use the packed entry
-    /// points directly.
-    pub fn stream_pair_counts<F>(&self, probe: F) -> PairCounts
-    where
-        F: Fn(&RecordPair) -> bool + Sync,
-    {
-        self.stream_packed_counts(probe)
-    }
-
-    /// [`BlockCollection::stream_pair_counts`] with an explicit worker count
-    /// (the result never depends on it — see `tests/determinism.rs`).
-    pub fn stream_pair_counts_with_threads<F>(&self, threads: usize, probe: F) -> PairCounts
-    where
-        F: Fn(&RecordPair) -> bool + Sync,
-    {
-        self.stream_packed_counts_with_threads(threads, probe)
-    }
-
-    /// The streaming counter with an explicit slice count, exposed so tests
-    /// can force the multi-slice path on small collections. `slices` only
-    /// affects the memory/rescan trade-off, never the counts.
-    pub fn stream_pair_counts_sliced<F>(&self, threads: usize, slices: usize, probe: F) -> PairCounts
-    where
-        F: Fn(&RecordPair) -> bool + Sync,
-    {
-        self.stream_packed_counts_sliced(threads, slices, probe)
-    }
-
-    /// The streaming Γ counter over a [`PackedProbe`].
+    /// its pair-space slice. Any `Fn(&RecordPair) -> bool` closure is a
+    /// [`PackedProbe`]; bulk ground-truth callers should pass
+    /// [`EntityTableProbe`].
     ///
     /// Semantically this is `distinct_pairs()` followed by a count/filter,
     /// but the memory high-water mark is one pair-space *slice* per worker
@@ -638,29 +607,25 @@ impl BlockCollection {
     /// per-shard packed runs and folds them through the loser-tree/galloping
     /// merge counter, which deduplicates on the fly. Slices are disjoint in
     /// pair space, so their counts add up exactly; [`parallel_map`] drives
-    /// the slice (or, for single-slice collections, shard) enumeration, and
-    /// the result is identical for every thread count.
+    /// the slice (or, for single-slice collections, shard) enumeration with
+    /// [`default_threads`] workers, and the result is identical for every
+    /// worker count.
     pub fn stream_packed_counts<P: PackedProbe>(&self, probe: P) -> PairCounts {
-        self.stream_packed_counts_with_threads(default_threads(), probe)
-    }
-
-    /// [`BlockCollection::stream_packed_counts`] with an explicit worker
-    /// count (the result never depends on it).
-    pub fn stream_packed_counts_with_threads<P: PackedProbe>(&self, threads: usize, probe: P) -> PairCounts {
         let slices = self
             .redundant_pair_count()
             .div_ceil(STREAM_SLICE_TARGET_PAIRS)
             .clamp(1, MAX_STREAM_SLICES as u64) as usize;
-        self.stream_packed_counts_sliced(threads, slices, probe)
+        self.stream_packed_counts_sliced(slices, probe)
     }
 
     /// [`BlockCollection::stream_packed_counts`] with an explicit slice
-    /// count. `slices` only affects the memory/rescan trade-off, never the
-    /// counts.
-    pub fn stream_packed_counts_sliced<P: PackedProbe>(&self, threads: usize, slices: usize, probe: P) -> PairCounts {
+    /// count, so tests can force the multi-slice path on small collections.
+    /// `slices` only affects the memory/rescan trade-off, never the counts.
+    pub fn stream_packed_counts_sliced<P: PackedProbe>(&self, slices: usize, probe: P) -> PairCounts {
         if self.blocks.is_empty() {
             return PairCounts::default();
         }
+        let threads = default_threads();
         if slices <= 1 {
             // One slice covering all of pair space: build the sorted shard
             // runs in parallel (exactly as `distinct_pairs` does) and fold
@@ -729,7 +694,7 @@ impl BlockCollection {
     /// The blocking function θ_B: do the two records share at least one block?
     ///
     /// This scans blocks and is intended for point queries (examples, tests);
-    /// bulk evaluation goes through [`BlockCollection::stream_pair_counts`].
+    /// bulk evaluation goes through [`BlockCollection::stream_packed_counts`].
     pub fn theta(&self, a: RecordId, b: RecordId) -> bool {
         if a == b {
             return false;
@@ -777,6 +742,7 @@ impl<B: Blocker + ?Sized> Blocker for Box<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_threads;
 
     fn rid(i: u32) -> RecordId {
         RecordId(i)
@@ -943,13 +909,14 @@ mod tests {
         // Every slice count and every thread count yields identical counts.
         for slices in [1, 2, 3, 7, 64] {
             for threads in [1, 4] {
-                let counts =
-                    collection.stream_pair_counts_sliced(threads, slices, |p: &RecordPair| p.first().0 % 2 == 0);
+                let counts = with_threads(threads, || {
+                    collection.stream_packed_counts_sliced(slices, |p: &RecordPair| p.first().0 % 2 == 0)
+                });
                 assert_eq!(counts.distinct, pairs.len() as u64, "slices={slices} threads={threads}");
                 assert_eq!(counts.matching, expected_matching, "slices={slices} threads={threads}");
             }
         }
-        let auto = collection.stream_pair_counts(|p: &RecordPair| p.first().0 % 2 == 0);
+        let auto = collection.stream_packed_counts(|p: &RecordPair| p.first().0 % 2 == 0);
         assert_eq!(auto.distinct, pairs.len() as u64);
         assert_eq!(auto.matching, expected_matching);
     }
@@ -957,18 +924,19 @@ mod tests {
     #[test]
     fn streaming_counts_handle_degenerate_collections() {
         let empty = BlockCollection::new();
-        assert_eq!(empty.stream_pair_counts(|_: &RecordPair| true), PairCounts::default());
+        assert_eq!(empty.stream_packed_counts(|_: &RecordPair| true), PairCounts::default());
         assert_eq!(empty.num_distinct_pairs(), 0);
         // Singleton-only input: every block is dropped at construction.
         let singletons = BlockCollection::from_blocks(vec![
             Block::new("a", vec![rid(1)]),
             Block::new("b", vec![rid(2)]),
         ]);
-        assert_eq!(singletons.stream_pair_counts_sliced(4, 8, |_: &RecordPair| true), PairCounts::default());
+        let counts = with_threads(4, || singletons.stream_packed_counts_sliced(8, |_: &RecordPair| true));
+        assert_eq!(counts, PairCounts::default());
         // A collection whose ids all collapse onto one value of pair space
         // still splits safely (the slice count is capped by the id span).
         let narrow = BlockCollection::from_blocks(vec![Block::new("n", vec![rid(5), rid(6)])]);
-        let counts = narrow.stream_pair_counts_sliced(4, 64, |_: &RecordPair| true);
+        let counts = with_threads(4, || narrow.stream_packed_counts_sliced(64, |_: &RecordPair| true));
         assert_eq!(counts, PairCounts { distinct: 1, matching: 1 });
     }
 
@@ -983,7 +951,7 @@ mod tests {
         let collection = BlockCollection::from_blocks(blocks);
         let expected = collection.distinct_pairs().len() as u64;
         for slices in [2usize, 8, 64] {
-            let counts = collection.stream_pair_counts_sliced(4, slices, |_: &RecordPair| false);
+            let counts = with_threads(4, || collection.stream_packed_counts_sliced(slices, |_: &RecordPair| false));
             assert_eq!(counts.distinct, expected, "slices={slices}");
         }
     }

@@ -332,7 +332,6 @@ pub struct IncrementalSaLshBlocker {
     banding: BandingScheme,
     hasher: MinHasher,
     semantic: Option<IncrementalSemantic>,
-    threads: Option<usize>,
     bands: Vec<Arc<BandIndex>>,
     /// Per-record bucket back-references; emptied when the record is
     /// tombstoned (a dead record's buckets are never walked again).
@@ -366,7 +365,6 @@ impl IncrementalSaLshBlocker {
         minhash: MinhashConfig,
         banding: BandingScheme,
         semantic: Option<SemanticConfig>,
-        threads: Option<usize>,
     ) -> Result<Self> {
         let semantic = match semantic {
             Some(config) => {
@@ -395,7 +393,6 @@ impl IncrementalSaLshBlocker {
             banding,
             hasher,
             semantic,
-            threads,
             bands,
             bucket_refs: Vec::new(),
             entity_of: Vec::new(),
@@ -644,7 +641,7 @@ impl IncrementalSaLshBlocker {
             self.batches_ingested += 1;
             return Ok(&self.last_delta);
         }
-        let threads = resolve_threads(self.threads, records.len());
+        let threads = resolve_threads(records.len());
 
         // Signatures of the new records only — the existing index is never
         // recomputed. Same parallel shape as the one-shot pipeline.

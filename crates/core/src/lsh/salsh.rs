@@ -50,7 +50,6 @@ pub struct SaLshBlocker {
     minhash: MinhashConfig,
     banding: BandingScheme,
     semantic: Option<SemanticConfig>,
-    threads: Option<usize>,
 }
 
 /// The paper's plain textual LSH blocker: an [`SaLshBlocker`] without a
@@ -88,15 +87,11 @@ impl SaLshBlocker {
         self.semantic.is_some()
     }
 
-    fn threads_for(&self, dataset: &Dataset) -> usize {
-        resolve_threads(self.threads, dataset.len())
-    }
-
     /// Converts this blocker into an incremental (online) index for
     /// streaming ingest — see [`crate::incremental`]. The configuration
-    /// (attributes, minhash, banding, semantic component, thread knob) is
-    /// carried over unchanged. For SA-LSH the semhash family is pinned for
-    /// the index's lifetime: the explicitly pinned one when
+    /// (attributes, minhash, banding, semantic component) is carried over
+    /// unchanged. For SA-LSH the semhash family is pinned for the index's
+    /// lifetime: the explicitly pinned one when
     /// [`SemanticConfig::with_pinned_family`] was used, all taxonomy leaves
     /// otherwise. The index maintains running `|Γ|`/`|Γ_tp|` counters in
     /// O(delta) per batch (O(1) snapshot metrics) and compacts tombstoned
@@ -108,7 +103,6 @@ impl SaLshBlocker {
             self.minhash,
             self.banding,
             self.semantic,
-            self.threads,
         )
     }
 
@@ -148,7 +142,7 @@ impl Blocker for SaLshBlocker {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.shingler.validate_against(dataset)?;
-        let threads = self.threads_for(dataset);
+        let threads = resolve_threads(dataset.len());
 
         // Step 1-2: shingle and minhash every record.
         let hasher = MinHasher::from_config(&self.minhash);
@@ -242,7 +236,6 @@ pub struct SaLshBlockerBuilder {
     attributes: Vec<String>,
     minhash: MinhashConfig,
     semantic: Option<SemanticConfig>,
-    threads: Option<usize>,
 }
 
 impl SaLshBlockerBuilder {
@@ -292,16 +285,6 @@ impl SaLshBlockerBuilder {
         self
     }
 
-    /// Pins the worker-thread count for the signature and bucket phases
-    /// (clamped to at least 1). Without this, the blocker picks a count from
-    /// the dataset size and the machine's parallelism. Output is identical
-    /// for every thread count; the knob exists for benchmarking and for the
-    /// determinism tests that compare 1-thread and 4-thread runs.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Builds the blocker and converts it straight into an incremental
     /// (online) index — the streaming-ingest counterpart of
     /// [`SaLshBlockerBuilder::build`].
@@ -322,7 +305,6 @@ impl SaLshBlockerBuilder {
             minhash: self.minhash,
             banding,
             semantic: self.semantic,
-            threads: self.threads,
         })
     }
 }
@@ -331,6 +313,7 @@ impl SaLshBlockerBuilder {
 mod tests {
     use super::*;
     use crate::lsh::semantic_hash::SemanticMode;
+    use crate::parallel::with_threads;
     use crate::semantic::pattern::PatternSemanticFunction;
     use crate::taxonomy::bib::bibliographic_taxonomy;
     use sablock_datasets::dataset::DatasetBuilder;
@@ -483,23 +466,16 @@ mod tests {
         // matter how many workers built it.
         let dataset = running_example();
         for (w, mode) in [(0, SemanticMode::Or), (2, SemanticMode::Or), (2, SemanticMode::And)] {
-            let build = |threads: usize| {
-                let mut builder = SaLshBlocker::builder()
-                    .attributes(["title", "authors"])
-                    .qgram(2)
-                    .bands(16)
-                    .rows_per_band(2)
-                    .seed(7)
-                    .threads(threads);
-                if w > 0 {
-                    let tree = bibliographic_taxonomy();
-                    let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
-                    builder = builder.semantic(SemanticConfig::new(tree, zeta).with_w(w).with_mode(mode).with_seed(11));
-                }
-                builder.build().unwrap().block(&dataset).unwrap()
-            };
-            let single = build(1);
-            let quad = build(4);
+            let mut builder =
+                SaLshBlocker::builder().attributes(["title", "authors"]).qgram(2).bands(16).rows_per_band(2).seed(7);
+            if w > 0 {
+                let tree = bibliographic_taxonomy();
+                let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
+                builder = builder.semantic(SemanticConfig::new(tree, zeta).with_w(w).with_mode(mode).with_seed(11));
+            }
+            let blocker = builder.build().unwrap();
+            let single = with_threads(1, || blocker.block(&dataset)).unwrap();
+            let quad = with_threads(4, || blocker.block(&dataset)).unwrap();
             assert_eq!(single.blocks(), quad.blocks(), "w={w} {mode:?}");
         }
     }

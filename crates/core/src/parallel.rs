@@ -1,8 +1,9 @@
-//! Parallel computation helpers.
+//! Parallel computation helpers and the workspace's one worker-count seam.
 //!
 //! [`parallel_map`] splits a slice across scoped worker threads
 //! (`std::thread::scope`, so no `'static` bound on the items) and stitches
-//! the results back in order. Four hot paths ride on it:
+//! the results back in order; [`parallel_map_mut`] is its in-place twin.
+//! Six hot paths ride on them:
 //!
 //! * **signatures** — shingling + minhashing is embarrassingly parallel per
 //!   record, and with `k · l` often in the hundreds it dominates small-scale
@@ -12,17 +13,27 @@
 //!   per-band block lists back in ascending band order;
 //! * **pair enumeration and counting** — `BlockCollection::distinct_pairs`
 //!   sorts and dedups pair shards independently before a sorted merge, and
-//!   the streaming counter `BlockCollection::stream_pair_counts` runs one
+//!   the streaming counter `BlockCollection::stream_packed_counts` runs one
 //!   worker per pair-space slice, each folding its shard runs through a
 //!   deduplicating k-way merge;
-//! * **baseline bucket construction** — the suffix-array and q-gram
-//!   baselines index record chunks in parallel and merge the per-chunk
-//!   buckets back in chunk order.
+//! * **baseline bucket construction** — the suffix-array, q-gram,
+//!   sorted-neighbourhood, canopy and string-map baselines index record
+//!   chunks in parallel and merge the per-chunk results back in chunk order;
+//! * **meta-blocking graph build** — `BlockingGraph::build` enumerates
+//!   `(pair, block)` entries per 256-block chunk in parallel before one
+//!   sorted merge;
+//! * **incremental ingest** — a batch's signatures go through
+//!   [`parallel_map`], and each band's bucket map is updated by its own
+//!   worker through [`parallel_map_mut`], outcomes stitched in band order.
 //!
-//! The LSH blockers engage it automatically for datasets above a size
-//! threshold; everything stays deterministic because each output depends
-//! only on its own input and results are always stitched in input order.
+//! Every path sizes itself on the calling thread, through
+//! [`resolve_threads`] (parallel from [`PARALLEL_THRESHOLD`] records up) or
+//! [`default_threads`]. [`with_threads`] pins the count for one scope, which
+//! is how tests compare 1 and 4 workers. Everything stays deterministic
+//! because each output depends only on its own input and results are always
+//! stitched in input order.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -262,30 +273,60 @@ where
 }
 
 /// Workloads over at least this many records engage parallel execution when
-/// no explicit worker count is configured (below it, thread spawn overhead
-/// outweighs the win). Shared by the SA-LSH blocker and the parallel
-/// baselines so they all flip to parallel at the same input size.
+/// no worker count is pinned (below it, thread spawn overhead outweighs the
+/// win). Shared by the SA-LSH blocker and the parallel baselines so they all
+/// flip to parallel at the same input size.
 pub const PARALLEL_THRESHOLD: usize = 2_000;
 
-/// Resolves a worker count: an explicitly configured count always wins;
-/// otherwise inputs of at least [`PARALLEL_THRESHOLD`] records use
-/// [`default_threads`] and smaller ones stay sequential.
-pub fn resolve_threads(explicit: Option<usize>, num_records: usize) -> usize {
-    match explicit {
-        Some(threads) => threads.max(1),
+thread_local! {
+    /// The worker count [`with_threads`] pinned on this thread, if any.
+    static PINNED_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the worker count pinned to `threads` (clamped to ≥ 1):
+/// every [`resolve_threads`] and [`default_threads`] call `f` makes on this
+/// thread returns the pin, whatever the input size. The previous pin (or
+/// none) comes back when `f` returns or unwinds, so pins nest.
+///
+/// The pin is thread-local: workers that `f` starts do not see it, which is
+/// why every parallel path resolves its count on the calling thread and
+/// passes it down. Output never depends on the count (pinned in
+/// `tests/determinism.rs`); the seam exists so tests can compare 1 and 4
+/// workers, also on inputs below [`PARALLEL_THRESHOLD`].
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    /// Puts the outer pin back on drop, so a panic in `f` cannot leak it.
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED_THREADS.with(|pinned| pinned.set(self.0));
+        }
+    }
+    let _restore = Restore(PINNED_THREADS.with(|pinned| pinned.replace(Some(threads.max(1)))));
+    f()
+}
+
+/// Resolves the worker count for a workload of `num_records` records: a
+/// [`with_threads`] pin always wins; otherwise inputs of at least
+/// [`PARALLEL_THRESHOLD`] records use [`default_threads`] and smaller ones
+/// stay sequential.
+pub fn resolve_threads(num_records: usize) -> usize {
+    match PINNED_THREADS.with(Cell::get) {
+        Some(threads) => threads,
         None if num_records >= PARALLEL_THRESHOLD => default_threads(),
         None => 1,
     }
 }
 
-/// A reasonable default worker count: the machine's available parallelism,
-/// capped at 8 (signature computation saturates memory bandwidth well before
-/// it saturates larger core counts).
+/// The [`with_threads`] pin if one is active; otherwise the machine's
+/// available parallelism, capped at 8 (signature computation saturates
+/// memory bandwidth well before it saturates larger core counts).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
+    PINNED_THREADS.with(Cell::get).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 /// Merges two sorted runs into one, *keeping* duplicates and taking from the
@@ -388,6 +429,28 @@ mod tests {
     fn default_threads_is_positive_and_capped() {
         let t = default_threads();
         assert!((1..=8).contains(&t));
+    }
+
+    #[test]
+    fn with_threads_pins_the_count_for_its_scope_only() {
+        // The pin beats the size threshold, and `default_threads` returns it.
+        assert_eq!(resolve_threads(10), 1);
+        assert_eq!(with_threads(4, || resolve_threads(10)), 4);
+        assert_eq!(with_threads(3, default_threads), 3);
+        // A nested pin restores the outer one when it ends.
+        with_threads(2, || {
+            assert_eq!(with_threads(5, || resolve_threads(10)), 5);
+            assert_eq!(resolve_threads(10), 2);
+        });
+        assert_eq!(resolve_threads(10), 1);
+        // Zero clamps to one.
+        assert_eq!(with_threads(0, || resolve_threads(PARALLEL_THRESHOLD)), 1);
+        // Workers do not inherit the pin: it is thread-local.
+        assert_eq!(with_threads(4, || join_all(vec![|| resolve_threads(10)])), vec![1]);
+        // The pin is restored when the closure unwinds.
+        let unwound = std::panic::catch_unwind(|| with_threads(4, || panic!("pinned closure panics")));
+        assert!(unwound.is_err());
+        assert_eq!(resolve_threads(10), 1);
     }
 
     #[test]

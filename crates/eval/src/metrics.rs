@@ -13,7 +13,6 @@
 //! * FM* = harmonic mean of PC and PQ*.
 
 use sablock_core::blocking::{BlockCollection, EntityTableProbe};
-use sablock_core::parallel::default_threads;
 use sablock_datasets::GroundTruth;
 
 /// The evaluation measures of one blocking result.
@@ -44,14 +43,7 @@ impl BlockingMetrics {
     /// collections is one pair-space slice per worker instead of the whole
     /// candidate-pair set.
     pub fn evaluate(blocks: &BlockCollection, truth: &GroundTruth) -> Self {
-        Self::evaluate_with_threads(blocks, truth, default_threads())
-    }
-
-    /// [`BlockingMetrics::evaluate`] with an explicit worker count for the
-    /// streaming pair counter. The result never depends on `threads`
-    /// (enforced by `tests/determinism.rs`).
-    pub fn evaluate_with_threads(blocks: &BlockCollection, truth: &GroundTruth, threads: usize) -> Self {
-        let counts = blocks.stream_packed_counts_with_threads(threads, EntityTableProbe::new(truth.entity_table()));
+        let counts = blocks.stream_packed_counts(EntityTableProbe::new(truth.entity_table()));
         Self {
             candidate_pairs: counts.distinct,
             redundant_pairs: blocks.redundant_pair_count(),
@@ -236,6 +228,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use sablock_core::blocking::Block;
+    use sablock_core::parallel::with_threads;
     use sablock_datasets::ground_truth::EntityId;
     use sablock_datasets::RecordId;
 
@@ -292,7 +285,7 @@ mod proptests {
             let streamed = BlockingMetrics::evaluate(&blocks, &truth);
             prop_assert_eq!(streamed, BlockingMetrics::evaluate_materialised(&blocks, &truth));
             for threads in [1usize, 4] {
-                prop_assert_eq!(streamed, BlockingMetrics::evaluate_with_threads(&blocks, &truth, threads));
+                prop_assert_eq!(streamed, with_threads(threads, || BlockingMetrics::evaluate(&blocks, &truth)));
             }
         }
 

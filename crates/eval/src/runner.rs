@@ -6,7 +6,7 @@
 //! [`Blocker::block`], then scores the resulting collection against ground
 //! truth. Scoring goes through the *streaming* evaluation path
 //! ([`BlockingMetrics::evaluate`] →
-//! [`BlockCollection::stream_pair_counts`](sablock_core::blocking::BlockCollection::stream_pair_counts)),
+//! [`BlockCollection::stream_packed_counts`](sablock_core::blocking::BlockCollection::stream_packed_counts)),
 //! so even the candidate-pair sets of the full 292,892-record voter roll are
 //! counted without ever being materialised. The dataset sizes the two ends
 //! of that ladder use are defined by

@@ -5,12 +5,13 @@
 //! `parallel_map_mut` (chunk in input order, stitch in input order),
 //! `join_all` (results in spawn order), or the bounded `worker_pool` /
 //! `JobQueue` pair the service front-end runs on — and sizes itself via
-//! `resolve_threads`. A stray `std::thread::spawn` elsewhere would create an
-//! execution order the determinism tests cannot pin, and a hand-held
-//! `JoinHandle` is the telltale of exactly that. The rule fires on any
-//! `std::thread` path, `thread::…` call, or `JoinHandle` type mention in
-//! every scope — tests included, since a racy test is a flaky test — except
-//! inside `crates/core/src/parallel.rs` itself.
+//! `resolve_threads`, which `parallel::with_threads` pins for one scope. A
+//! stray `std::thread::spawn` elsewhere would create an execution order the
+//! determinism tests cannot pin, and a hand-held `JoinHandle` is the
+//! telltale of exactly that. The rule fires on any `std::thread` path,
+//! `thread::…` call, or `JoinHandle` type mention in every scope — tests
+//! included, since a racy test is a flaky test — except inside
+//! `crates/core/src/parallel.rs` itself.
 
 use crate::engine::{FileTokens, Finding};
 
@@ -49,7 +50,8 @@ pub(super) fn check(file: &FileTokens<'_>, findings: &mut Vec<Finding>) {
             rule: "thread-confinement",
             message: "direct `std::thread` use outside core::parallel — parallelism must go through \
                       the sanctioned confinement points (parallel_map/resolve_threads, join_all, \
-                      worker_pool/JobQueue) to stay deterministic across thread counts"
+                      worker_pool/JobQueue) to stay deterministic across thread counts; pin a worker \
+                      count with parallel::with_threads"
                 .to_string(),
             line: token.line,
             col: token.col,

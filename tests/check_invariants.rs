@@ -51,7 +51,7 @@ fn one_shot_blocking_under_sanitizer_matches_materialised_counts() {
     let blocks = blocker.block(&dataset).unwrap();
 
     let truth = dataset.ground_truth();
-    let streamed = blocks.stream_pair_counts(|pair: &RecordPair| truth.is_match(pair.first(), pair.second()));
+    let streamed = blocks.stream_packed_counts(|pair: &RecordPair| truth.is_match(pair.first(), pair.second()));
 
     let mut distinct: Vec<_> = blocks.blocks().iter().flat_map(|b| b.pairs()).collect();
     distinct.sort_unstable();
@@ -68,7 +68,7 @@ fn one_shot_blocking_under_sanitizer_matches_materialised_counts() {
 fn batched_ingest_under_sanitizer_sums_to_one_shot_counts() {
     let dataset = cora_dataset(500);
     let one_shot = salsh_builder().build().unwrap().block(&dataset).unwrap();
-    let one_shot_distinct = one_shot.stream_pair_counts(|_: &RecordPair| false).distinct;
+    let one_shot_distinct = one_shot.stream_packed_counts(|_: &RecordPair| false).distinct;
 
     let mut incremental = salsh_builder().into_incremental().unwrap();
     let mut cumulative = 0u64;
@@ -104,8 +104,8 @@ fn snapshots_under_sanitizer_are_reproducible() {
     incremental.insert_batch(&dataset.records()[150..]).unwrap();
     incremental.remove(RecordId(10)).unwrap();
 
-    let a = incremental.snapshot().stream_pair_counts(|_: &RecordPair| false).distinct;
-    let b = incremental.snapshot().stream_pair_counts(|_: &RecordPair| false).distinct;
+    let a = incremental.snapshot().stream_packed_counts(|_: &RecordPair| false).distinct;
+    let b = incremental.snapshot().stream_packed_counts(|_: &RecordPair| false).distinct;
     assert_eq!(a, b, "snapshot pair counts must be reproducible");
 }
 

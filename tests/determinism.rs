@@ -4,7 +4,8 @@
 //! bench in this workspace relies on that reproducibility.
 
 use sablock::core::minhash::shingle::RecordShingler;
-use sablock::core::parallel::parallel_map;
+use sablock::core::parallel::{parallel_map, with_threads};
+use sablock::datasets::record::RecordPair;
 use sablock::prelude::*;
 
 fn small_cora() -> Dataset {
@@ -83,14 +84,9 @@ fn parallel_map_is_thread_count_invariant() {
 #[test]
 fn bucket_phase_is_thread_count_invariant() {
     let dataset = small_cora();
-    let blocker_with = |threads: usize, semantic: bool| {
-        let mut builder = SaLshBlocker::builder()
-            .attributes(["title", "authors"])
-            .qgram(3)
-            .rows_per_band(3)
-            .bands(12)
-            .seed(0xB10C)
-            .threads(threads);
+    let blocker_with = |semantic: bool| {
+        let mut builder =
+            SaLshBlocker::builder().attributes(["title", "authors"]).qgram(3).rows_per_band(3).bands(12).seed(0xB10C);
         if semantic {
             let tree = bibliographic_taxonomy();
             let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
@@ -99,8 +95,9 @@ fn bucket_phase_is_thread_count_invariant() {
         builder.build().unwrap()
     };
     for semantic in [false, true] {
-        let single = blocker_with(1, semantic).block(&dataset).unwrap();
-        let quad = blocker_with(4, semantic).block(&dataset).unwrap();
+        let blocker = blocker_with(semantic);
+        let single = with_threads(1, || blocker.block(&dataset)).unwrap();
+        let quad = with_threads(4, || blocker.block(&dataset)).unwrap();
         assert_eq!(single.blocks(), quad.blocks(), "semantic={semantic}");
         assert_eq!(single.distinct_pairs(), quad.distinct_pairs(), "semantic={semantic}");
     }
@@ -133,15 +130,17 @@ fn streaming_evaluation_is_thread_count_invariant() {
     let blocks = salsh_blocker().block(&dataset).unwrap();
     let truth = dataset.ground_truth();
     let reference = BlockingMetrics::evaluate_materialised(&blocks, truth);
-    let single = BlockingMetrics::evaluate_with_threads(&blocks, truth, 1);
-    let quad = BlockingMetrics::evaluate_with_threads(&blocks, truth, 4);
+    let single = with_threads(1, || BlockingMetrics::evaluate(&blocks, truth));
+    let quad = with_threads(4, || BlockingMetrics::evaluate(&blocks, truth));
     assert_eq!(single, quad, "1 vs 4 streaming workers");
     assert_eq!(single, reference, "streaming vs materialised");
     // The same invariance holds when the pair space is force-split into
     // slices far smaller than the automatic heuristic would pick.
     for slices in [2usize, 5, 16] {
         for threads in [1usize, 4] {
-            let counts = blocks.stream_pair_counts_sliced(threads, slices, |p| truth.is_match_pair(p));
+            let counts = with_threads(threads, || {
+                blocks.stream_packed_counts_sliced(slices, |p: &RecordPair| truth.is_match_pair(p))
+            });
             assert_eq!(counts.distinct, reference.candidate_pairs, "slices={slices} threads={threads}");
             assert_eq!(counts.matching, reference.true_positives, "slices={slices} threads={threads}");
         }
@@ -149,62 +148,61 @@ fn streaming_evaluation_is_thread_count_invariant() {
 }
 
 /// The parallel suffix-array, q-gram and sorted-neighbourhood bucket
-/// constructions are thread-count invariant: 1 worker and 4 workers produce
-/// byte-identical block output on a dataset large enough to engage the
-/// chunked parallel path.
+/// constructions, and meta-blocking's chunked graph build, are thread-count
+/// invariant: 1 worker and 4 workers produce byte-identical block output on
+/// a dataset large enough to engage the chunked parallel path.
 #[test]
 fn baseline_bucket_construction_is_thread_count_invariant() {
     use sablock::baselines::{
-        AdaptiveSortedNeighbourhood, AllSubstringsBlocking, BlockingKey, QGramBlocking, RobustSuffixArrayBlocking,
-        SortedNeighbourhoodArray, SortedNeighbourhoodInverted, SuffixArrayBlocking,
+        AdaptiveSortedNeighbourhood, AllSubstringsBlocking, BlockingKey, MetaBlocking, PruningAlgorithm, QGramBlocking,
+        RobustSuffixArrayBlocking, SortedNeighbourhoodArray, SortedNeighbourhoodInverted, SuffixArrayBlocking,
+        WeightingScheme,
     };
     use sablock::textual::similarity::SimilarityFunction;
 
-    // > 1,024 records so the chunked parallel index construction engages.
+    // > 1,024 records so the chunked parallel index construction engages;
+    // SuA's 2,292 blocks also exceed the graph build's 256-block chunks.
     let dataset = NcVoterGenerator::new(NcVoterConfig { num_records: 2_500, ..NcVoterConfig::small() })
         .generate()
         .unwrap();
 
-    type BlockerFactory = Box<dyn Fn(usize) -> Box<dyn Blocker>>;
-    let blockers: Vec<(&str, BlockerFactory)> = vec![
-        ("SuA", Box::new(|t| Box::new(SuffixArrayBlocking::new(BlockingKey::ncvoter(), 3, 10).unwrap().with_threads(t)))),
-        ("SuAS", Box::new(|t| Box::new(AllSubstringsBlocking::new(BlockingKey::ncvoter(), 3, 10).unwrap().with_threads(t)))),
+    let suffix_array = || SuffixArrayBlocking::new(BlockingKey::ncvoter(), 3, 10).unwrap();
+    let blockers: Vec<(&str, Box<dyn Blocker>)> = vec![
+        ("SuA", Box::new(suffix_array())),
+        ("SuAS", Box::new(AllSubstringsBlocking::new(BlockingKey::ncvoter(), 3, 10).unwrap())),
         (
             "RSuA",
-            Box::new(|t| {
-                Box::new(
-                    RobustSuffixArrayBlocking::new(BlockingKey::ncvoter(), 3, 10, SimilarityFunction::JaroWinkler, 0.9)
-                        .unwrap()
-                        .with_threads(t),
-                )
-            }),
+            Box::new(
+                RobustSuffixArrayBlocking::new(BlockingKey::ncvoter(), 3, 10, SimilarityFunction::JaroWinkler, 0.9)
+                    .unwrap(),
+            ),
         ),
-        ("QGr", Box::new(|t| Box::new(QGramBlocking::new(BlockingKey::ncvoter(), 2, 0.8).unwrap().with_threads(t)))),
-        ("SorA", Box::new(|t| Box::new(SortedNeighbourhoodArray::new(BlockingKey::ncvoter(), 3).unwrap().with_threads(t)))),
-        (
-            "SorII",
-            Box::new(|t| Box::new(SortedNeighbourhoodInverted::new(BlockingKey::ncvoter(), 3).unwrap().with_threads(t))),
-        ),
+        ("QGr", Box::new(QGramBlocking::new(BlockingKey::ncvoter(), 2, 0.8).unwrap())),
+        ("SorA", Box::new(SortedNeighbourhoodArray::new(BlockingKey::ncvoter(), 3).unwrap())),
+        ("SorII", Box::new(SortedNeighbourhoodInverted::new(BlockingKey::ncvoter(), 3).unwrap())),
         (
             "ASor",
-            Box::new(|t| {
-                Box::new(
-                    AdaptiveSortedNeighbourhood::new(BlockingKey::ncvoter(), SimilarityFunction::JaroWinkler, 0.9)
-                        .unwrap()
-                        .with_threads(t),
-                )
-            }),
+            Box::new(
+                AdaptiveSortedNeighbourhood::new(BlockingKey::ncvoter(), SimilarityFunction::JaroWinkler, 0.9).unwrap(),
+            ),
+        ),
+        (
+            "SuA+CBS+WEP",
+            Box::new(MetaBlocking::new(suffix_array(), WeightingScheme::Cbs, PruningAlgorithm::WeightedEdgePruning)),
         ),
     ];
-    for (name, build) in blockers {
-        let single = build(1).block(&dataset).unwrap();
-        let quad = build(4).block(&dataset).unwrap();
+    for (name, blocker) in blockers {
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let blocks = blocker.block(&dataset).unwrap();
+                let distinct = blocks.num_distinct_pairs();
+                (blocks, distinct)
+            })
+        };
+        let (single, single_distinct) = run(1);
+        let (quad, quad_distinct) = run(4);
         assert_eq!(single.blocks(), quad.blocks(), "{name}: 1 vs 4 worker block output");
-        assert_eq!(
-            single.stream_pair_counts_with_threads(1, |_| false),
-            quad.stream_pair_counts_with_threads(4, |_| false),
-            "{name}: streamed pair counts"
-        );
+        assert_eq!(single_distinct, quad_distinct, "{name}: streamed pair counts");
     }
 }
 
@@ -226,48 +224,34 @@ fn canopy_and_stringmap_are_thread_count_invariant() {
         .generate()
         .unwrap();
 
-    type BlockerFactory = Box<dyn Fn(usize) -> Box<dyn Blocker>>;
-    let blockers: Vec<(&str, BlockerFactory)> = vec![
+    let blockers: Vec<(&str, Box<dyn Blocker>)> = vec![
         (
             "CaTh",
-            Box::new(|t| {
-                Box::new(
-                    CanopyThreshold::new(BlockingKey::ncvoter(), CanopySimilarity::TfIdfCosine, 0.9, 0.6)
-                        .unwrap()
-                        .with_seed(5)
-                        .with_threads(t),
-                )
-            }),
+            Box::new(
+                CanopyThreshold::new(BlockingKey::ncvoter(), CanopySimilarity::TfIdfCosine, 0.9, 0.6)
+                    .unwrap()
+                    .with_seed(5),
+            ),
         ),
         (
             "CaNN",
-            Box::new(|t| {
-                Box::new(
-                    CanopyNearestNeighbour::new(BlockingKey::ncvoter(), CanopySimilarity::Jaccard { q: 2 }, 5, 10)
-                        .unwrap()
-                        .with_seed(5)
-                        .with_threads(t),
-                )
-            }),
+            Box::new(
+                CanopyNearestNeighbour::new(BlockingKey::ncvoter(), CanopySimilarity::Jaccard { q: 2 }, 5, 10)
+                    .unwrap()
+                    .with_seed(5),
+            ),
         ),
         (
             "StMT",
-            Box::new(|t| {
-                Box::new(
-                    StringMapThreshold::new(BlockingKey::ncvoter(), 6, 2.0, SimilarityFunction::JaroWinkler, 0.85)
-                        .unwrap()
-                        .with_threads(t),
-                )
-            }),
+            Box::new(
+                StringMapThreshold::new(BlockingKey::ncvoter(), 6, 2.0, SimilarityFunction::JaroWinkler, 0.85).unwrap(),
+            ),
         ),
-        (
-            "StMNN",
-            Box::new(|t| Box::new(StringMapNearestNeighbour::new(BlockingKey::ncvoter(), 6, 5.0, 3).unwrap().with_threads(t))),
-        ),
+        ("StMNN", Box::new(StringMapNearestNeighbour::new(BlockingKey::ncvoter(), 6, 5.0, 3).unwrap())),
     ];
-    for (name, build) in blockers {
-        let single = build(1).block(&dataset).unwrap();
-        let quad = build(4).block(&dataset).unwrap();
+    for (name, blocker) in blockers {
+        let single = with_threads(1, || blocker.block(&dataset)).unwrap();
+        let quad = with_threads(4, || blocker.block(&dataset)).unwrap();
         assert_eq!(single.blocks(), quad.blocks(), "{name}: 1 vs 4 worker block output");
     }
 }
@@ -283,27 +267,13 @@ fn incremental_insert_is_thread_count_invariant_per_batch() {
 
     let dataset = small_cora();
     let entities = dataset.ground_truth().entity_table();
-    let build = |threads: usize| {
-        let tree = bibliographic_taxonomy();
-        let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
-        SaLshBlocker::builder()
-            .attributes(["title", "authors"])
-            .qgram(3)
-            .rows_per_band(3)
-            .bands(12)
-            .seed(0xB10C)
-            .semantic(SemanticConfig::new(tree, zeta).with_w(2).with_mode(SemanticMode::Or))
-            .threads(threads)
-            .into_incremental()
-            .unwrap()
-    };
-    let mut single = build(1);
-    let mut quad = build(4);
+    let mut single = salsh_blocker().into_incremental().unwrap();
+    let mut quad = salsh_blocker().into_incremental().unwrap();
     let mut offset = 0usize;
     for chunk in dataset.records().chunks(64) {
         let batch_entities = &entities[offset..offset + chunk.len()];
-        let delta_1 = single.insert_batch_with_entities(chunk, batch_entities).unwrap().clone();
-        let delta_4 = quad.insert_batch_with_entities(chunk, batch_entities).unwrap().clone();
+        let delta_1 = with_threads(1, || single.insert_batch_with_entities(chunk, batch_entities).cloned()).unwrap();
+        let delta_4 = with_threads(4, || quad.insert_batch_with_entities(chunk, batch_entities).cloned()).unwrap();
         offset += chunk.len();
         assert_eq!(delta_1, delta_4, "per-batch delta runs differ between 1 and 4 workers");
         assert_eq!(single.running_counts(), quad.running_counts(), "running counters diverged mid-stream");

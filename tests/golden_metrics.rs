@@ -3,7 +3,7 @@
 //! SA-LSH and the representative setting of every baseline technique.
 //!
 //! Every count below is produced by the *streaming* Γ evaluation
-//! (`BlockingMetrics::evaluate` → `BlockCollection::stream_pair_counts`), so
+//! (`BlockingMetrics::evaluate` → `BlockCollection::stream_packed_counts`), so
 //! any refactor of pair enumeration, deduplication, slicing or counting that
 //! silently shifts a single pair fails this test. The generators and
 //! blockers are pure functions of their fixed seeds, so the numbers are

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 
 use sablock::core::incremental::{IncrementalBlocker, IncrementalSaLshBlocker};
 use sablock::core::lsh::salsh::SaLshBlockerBuilder;
+use sablock::core::parallel::with_threads;
 use sablock::core::semantic::semhash::SemhashFamily;
 use sablock::prelude::*;
 
@@ -98,11 +99,13 @@ fn extreme_batch_shapes_match_one_shot() {
 fn incremental_ingest_is_thread_count_invariant() {
     let dataset = cora_dataset(150);
     let run = |threads: usize| {
-        let mut incremental = salsh_builder().threads(threads).into_incremental().unwrap();
-        for chunk in dataset.records().chunks(40) {
-            incremental.insert_batch(chunk).unwrap();
-        }
-        incremental.snapshot()
+        with_threads(threads, || {
+            let mut incremental = salsh_builder().into_incremental().unwrap();
+            for chunk in dataset.records().chunks(40) {
+                incremental.insert_batch(chunk).unwrap();
+            }
+            incremental.snapshot()
+        })
     };
     let single = run(1);
     let quad = run(4);

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use sablock::core::blocking::{merge_count_packed_runs, radix_sort_packed, Block, BlockCollection, PairCounts};
 use sablock::core::lsh::probability::{banding_collision_probability, salsh_collision_probability, w_way_probability};
+use sablock::core::parallel::with_threads;
 use sablock::core::semantic::semhash::SemhashFamily;
 use sablock::core::semantic::similarity::{concept_similarity, record_semantic_similarity};
 use sablock::core::semantic::Interpretation;
@@ -306,12 +307,14 @@ proptest! {
         let streamed = BlockingMetrics::evaluate(&collection, &truth);
         prop_assert_eq!(streamed, reference);
         for threads in [1usize, 4] {
-            prop_assert_eq!(BlockingMetrics::evaluate_with_threads(&collection, &truth, threads), reference);
+            prop_assert_eq!(with_threads(threads, || BlockingMetrics::evaluate(&collection, &truth)), reference);
         }
         // Forcing the sliced pair-space partitioning (which the automatic
         // heuristic only engages at paper scale) must not change any count.
         for slices in [2usize, 3, 8, 64] {
-            let counts = collection.stream_pair_counts_sliced(4, slices, |p| truth.is_match_pair(p));
+            let counts = with_threads(4, || {
+                collection.stream_packed_counts_sliced(slices, |p: &RecordPair| truth.is_match_pair(p))
+            });
             prop_assert_eq!(counts.distinct, reference.candidate_pairs, "slices={}", slices);
             prop_assert_eq!(counts.matching, reference.true_positives, "slices={}", slices);
         }
@@ -340,7 +343,7 @@ proptest! {
         prop_assert_eq!(streamed.true_positives, 0);
         let empty = BlockCollection::new();
         for slices in [1usize, 4] {
-            let counts = empty.stream_pair_counts_sliced(2, slices, |_| true);
+            let counts = with_threads(2, || empty.stream_packed_counts_sliced(slices, |_: &RecordPair| true));
             prop_assert_eq!(counts.distinct, 0);
             prop_assert_eq!(counts.matching, 0);
         }
