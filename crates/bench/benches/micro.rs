@@ -1,13 +1,16 @@
-//! Micro-benchmarks of the hot paths: q-gram extraction, minhash signatures,
-//! semhash signatures, banding keys, the similarity metrics used by the
-//! baselines, and the packed pair-merge machinery (loser-tree vs heap merge,
-//! radix vs tuple sort) behind the streaming Γ counter.
+//! Micro-benchmarks of the hot paths: q-gram extraction, scoring one ranked
+//! query candidate (fresh hash sets, a reused hash set, and the
+//! allocation-free kernel), minhash signatures, semhash signatures, banding
+//! keys, the similarity metrics used by the baselines, and the packed
+//! pair-merge machinery (loser-tree vs heap merge, radix vs tuple sort)
+//! behind the streaming Γ counter.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use sablock_core::blocking::{merge_count_packed_runs, radix_sort_packed, PairCounts};
 use sablock_core::lsh::BandingScheme;
+use sablock_core::minhash::shingle::RecordShingler;
 use sablock_core::minhash::{MinHasher, MinhashConfig};
 use sablock_core::semantic::pattern::PatternSemanticFunction;
 use sablock_core::semantic::semhash::SemhashFamily;
@@ -17,6 +20,7 @@ use sablock_datasets::record::RecordPair;
 use sablock_datasets::{CoraConfig, CoraGenerator, RecordId};
 use sablock_textual::qgrams::hashed_qgram_set;
 use sablock_textual::similarity::{SimilarityFunction, StringSimilarity};
+use sablock_textual::{jaccard, JaccardScorer, StableHashSet};
 
 const TITLE_A: &str = "the cascade correlation learning architecture for neural networks";
 const TITLE_B: &str = "a genetic cascade correlation learning algorithm for neural nets";
@@ -24,6 +28,42 @@ const TITLE_B: &str = "a genetic cascade correlation learning algorithm for neur
 fn bench_textual(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/textual");
     group.bench_function("qgram_set_q4", |b| b.iter(|| hashed_qgram_set(black_box(TITLE_A), 4)));
+
+    // One QUERYK candidate under the served Cora shingling (title + authors,
+    // q = 3), probe already shingled, scored three ways: a fresh hash set
+    // per candidate; window hashes in reused buffers collected into a
+    // reused hash set; the same window hashes scored by a loaded probe
+    // table. The middle case separates what the table adds from what
+    // reusing buffers saves.
+    let dataset = CoraGenerator::new(CoraConfig { num_records: 2, ..CoraConfig::small() }).generate().unwrap();
+    let (probe, candidate) = (&dataset.records()[0], &dataset.records()[1]);
+    let shingler = RecordShingler::new(["title", "authors"], 3).unwrap();
+    let probe_set = shingler.shingles(probe);
+    let (mut text, mut hashes, mut set) = (String::new(), Vec::new(), StableHashSet::default());
+    shingler.window_hashes_into(probe, &mut text, &mut hashes);
+    let mut scorer = JaccardScorer::default();
+    scorer.load(&hashes);
+    let mut score_reused_set = |candidate| {
+        shingler.window_hashes_into(candidate, &mut text, &mut hashes);
+        set.clear();
+        set.extend(hashes.iter().copied());
+        jaccard(&probe_set, &set)
+    };
+    let reference = jaccard(&probe_set, &shingler.shingles(candidate));
+    assert_eq!(score_reused_set(candidate), reference, "the reused set must score exactly like the reference");
+    group.bench_function("score_candidate_reference", |b| {
+        b.iter(|| jaccard(&probe_set, &shingler.shingles(black_box(candidate))))
+    });
+    group.bench_function("score_candidate_reused_set", |b| b.iter(|| score_reused_set(black_box(candidate))));
+    let (mut text, mut hashes) = (String::new(), Vec::new());
+    shingler.window_hashes_into(candidate, &mut text, &mut hashes);
+    assert_eq!(scorer.score(&hashes), reference, "the kernel must score exactly like the reference");
+    group.bench_function("score_candidate_kernel", |b| {
+        b.iter(|| {
+            shingler.window_hashes_into(black_box(candidate), &mut text, &mut hashes);
+            scorer.score(&hashes)
+        })
+    });
     for function in [
         SimilarityFunction::JaroWinkler,
         SimilarityFunction::QGram(2),

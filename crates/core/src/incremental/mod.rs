@@ -643,10 +643,10 @@ impl IncrementalSaLshBlocker {
         }
         let threads = resolve_threads(records.len());
 
-        // Signatures of the new records only — the existing index is never
-        // recomputed. Same parallel shape as the one-shot pipeline.
-        let shingles = parallel_map(records, threads, |record| self.shingler.shingles(record));
-        let signatures = parallel_map(&shingles, threads, |set| self.hasher.signature(set));
+        // Signatures of the new records only (`None`: no text) — the
+        // existing index is never recomputed. Same parallel shape as the
+        // one-shot pipeline.
+        let signatures = parallel_map(records, threads, |record| self.shingler.signature(&self.hasher, record));
         let sem_signatures = match &self.semantic {
             Some(semantic) => {
                 let function = &semantic.config.function;
@@ -677,9 +677,7 @@ impl IncrementalSaLshBlocker {
             let band = *band;
             let mut slots: Vec<(BucketKey, RecordId)> = Vec::new();
             for (offset, signature) in signatures.iter().enumerate() {
-                if shingles[offset].is_empty() {
-                    continue;
-                }
+                let Some(signature) = signature else { continue };
                 let id = records[offset].id();
                 let bucket = banding.band_key(signature, band);
                 match (semantic, &sem_signatures) {

@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::{Record, RecordId};
-use sablock_textual::hashing::StableHashSet;
 
 use crate::blocking::BlockCollection;
 use crate::error::{CoreError, Result};
@@ -113,10 +112,10 @@ impl IndexView {
         snapshot_bands(&self.bands, &self.removed, self.semantic.is_some())
     }
 
-    /// The probe-side shingle set of a record under this view's shingler —
-    /// what a service layer feeds a Jaccard scorer to rank candidates.
-    pub fn shingle_set(&self, record: &Record) -> StableHashSet<u64> {
-        self.shingler.shingles(record)
+    /// The shingler the view's index was built with — what a service layer
+    /// shingles a probe and its candidates with to rank them.
+    pub fn shingler(&self) -> &RecordShingler {
+        &self.shingler
     }
 
     /// Number of records ingested at the publication point (including
@@ -192,13 +191,11 @@ pub(super) fn probe_candidates(
             )));
         }
     }
-    let shingles = shingler.shingles(record);
-    if shingles.is_empty() {
+    let Some(signature) = shingler.signature(hasher, record) else {
         // Text-free records are never indexed, so they collide with nothing
         // — exactly like the ingest path skipping them.
         return Ok(Vec::new());
-    }
-    let signature = hasher.signature(&shingles);
+    };
     let sem_signature = semantic.map(|semantic| {
         let interpretation = semantic.config.function.interpret(record);
         semantic.family.signature(&semantic.config.taxonomy, &interpretation)
@@ -402,8 +399,8 @@ mod tests {
         assert!(!own.contains(&RecordId(0)));
         assert_eq!(own, one_shot_partners(&view.snapshot(), RecordId(0)));
 
-        // The view's shingle set matches the shingler's.
-        assert!(!view.shingle_set(&dataset.records()[0]).is_empty());
+        // The view shingles with the blocker's shingler.
+        assert!(!view.shingler().shingles(&dataset.records()[0]).is_empty());
         assert_eq!(view.entity_table().len(), 0, "unannotated ingest leaves the table empty");
     }
 }

@@ -144,10 +144,9 @@ impl Blocker for SaLshBlocker {
         self.shingler.validate_against(dataset)?;
         let threads = resolve_threads(dataset.len());
 
-        // Step 1-2: shingle and minhash every record.
+        // Step 1-2: shingle and minhash every record (`None`: no text).
         let hasher = MinHasher::from_config(&self.minhash);
-        let shingles = parallel_map(dataset.records(), threads, |record| self.shingler.shingles(record));
-        let signatures = parallel_map(&shingles, threads, |set| hasher.signature(set));
+        let signatures = parallel_map(dataset.records(), threads, |record| self.shingler.signature(&hasher, record));
 
         // Step 3: semhash signatures (when configured).
         let semantic_signatures = self.semantic_signatures(dataset, threads)?;
@@ -171,7 +170,7 @@ impl Blocker for SaLshBlocker {
             _ => None,
         };
 
-        // Step 4: banding. Records with an empty shingle set carry no textual
+        // Step 4: banding. Records without a signature carry no textual
         // evidence and are not indexed (they would otherwise all collide on
         // the all-sentinel signature).
         //
@@ -184,9 +183,7 @@ impl Blocker for SaLshBlocker {
         let per_band: Vec<Vec<Block>> = parallel_map(&bands, threads, |&band| {
             let mut buckets: HashMap<u64, Vec<RecordId>> = HashMap::new();
             for (idx, signature) in signatures.iter().enumerate() {
-                if shingles[idx].is_empty() {
-                    continue;
-                }
+                let Some(signature) = signature else { continue };
                 let key = self.banding.band_key(signature, band);
                 let id = RecordId::try_from_index(idx).expect("dataset record ids are validated at construction");
                 buckets.entry(key).or_default().push(id);

@@ -15,8 +15,6 @@ pub mod shingle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sablock_textual::hashing::mix64;
-use std::collections::HashSet;
-use std::hash::BuildHasher;
 
 use crate::error::{CoreError, Result};
 
@@ -113,14 +111,17 @@ impl MinHasher {
         self.seeds.len()
     }
 
-    /// Computes the minhash signature of a shingle set.
+    /// Computes the minhash signature of a collection of shingles — a
+    /// shingle set, or a record's window hashes with repeats
+    /// ([`RecordShingler::window_hashes_into`](shingle::RecordShingler::window_hashes_into)):
+    /// each slot keeps a minimum, so neither order nor repeats change it.
     ///
-    /// An empty shingle set yields a signature of `u64::MAX` sentinels — such
+    /// No shingles yield a signature of `u64::MAX` sentinels — such
     /// records never collide with anything (they carry no textual evidence),
     /// matching how empty values are treated elsewhere in the framework.
-    pub fn signature<S: BuildHasher>(&self, shingles: &HashSet<u64, S>) -> MinhashSignature {
+    pub fn signature<'a>(&self, shingles: impl IntoIterator<Item = &'a u64>) -> MinhashSignature {
         let mut signature = vec![u64::MAX; self.seeds.len()];
-        for &shingle in shingles { // sablock-lint: allow(hash-iter-order): per-slot min fold is order-insensitive
+        for &shingle in shingles {
             for (slot, &seed) in signature.iter_mut().zip(self.seeds.iter()) {
                 let h = mix64(shingle ^ seed);
                 if h < *slot {

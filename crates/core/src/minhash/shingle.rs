@@ -3,10 +3,11 @@
 
 use sablock_datasets::{Dataset, Record};
 use sablock_textual::hashing::StableHashSet;
-use sablock_textual::normalize::normalize;
-use sablock_textual::qgrams::qgrams;
+use sablock_textual::normalize::normalize_into;
+use sablock_textual::qgrams::hash_qgrams_into;
 use sablock_textual::setsim::jaccard;
 
+use super::{MinHasher, MinhashSignature};
 use crate::error::{CoreError, Result};
 
 /// Shingles a record by concatenating selected attributes and extracting
@@ -59,17 +60,45 @@ impl RecordShingler {
 
     /// The normalised text of a record over the selected attributes.
     pub fn text(&self, record: &Record) -> String {
-        let attrs: Vec<&str> = self.attributes.iter().map(String::as_str).collect();
-        normalize(&record.concat_named(&attrs))
+        let mut text = String::new();
+        self.text_into(record, &mut text);
+        text
     }
 
     /// The hashed q-gram shingle set of a record.
     pub fn shingles(&self, record: &Record) -> StableHashSet<u64> {
-        let text = self.text(record);
-        qgrams(&text, self.qgram)
-            .into_iter()
-            .map(|gram| sablock_textual::hash_str(&gram))
-            .collect()
+        let mut hashes = Vec::new();
+        self.window_hashes_into(record, &mut String::new(), &mut hashes);
+        hashes.into_iter().collect()
+    }
+
+    /// The hash of every q-gram window of the record's normalised text, in
+    /// order and with repeats — the shingle set before deduplication, and
+    /// the one shingling path: [`RecordShingler::shingles`] collects it,
+    /// minhash signatures fold it, and ranked queries score it. `text` and
+    /// `hashes` are working buffers, overwritten; reusing them across
+    /// records allocates nothing once they are large enough.
+    pub fn window_hashes_into(&self, record: &Record, text: &mut String, hashes: &mut Vec<u64>) {
+        self.text_into(record, text);
+        hash_qgrams_into(text, self.qgram, hashes);
+    }
+
+    /// The minhash signature of a record's window hashes, or `None` for a
+    /// record with no text — such records are never indexed, so they
+    /// collide with nothing.
+    pub(crate) fn signature(&self, hasher: &MinHasher, record: &Record) -> Option<MinhashSignature> {
+        let (mut text, mut hashes) = (String::new(), Vec::new());
+        self.window_hashes_into(record, &mut text, &mut hashes);
+        // Repeated windows are folded, not removed: they cannot change a
+        // minimum, and even at 252 hash functions folding them measured
+        // cheaper than sorting them out first.
+        (!hashes.is_empty()).then(|| hasher.signature(&hashes))
+    }
+
+    /// [`RecordShingler::text`] into a reused buffer. Missing values and
+    /// attributes the schema lacks contribute nothing.
+    fn text_into(&self, record: &Record, text: &mut String) {
+        normalize_into(self.attributes.iter().filter_map(|attribute| record.value(attribute)), text);
     }
 
     /// The exact Jaccard textual similarity of two records under this
@@ -114,6 +143,9 @@ mod tests {
         let s = RecordShingler::new(["title", "authors"], 2).unwrap();
         let r = record("The Cascade-Correlation!", "Fahlman, S.", 0);
         assert_eq!(s.text(&r), "the cascade correlation fahlman s");
+        // A missing value in between contributes nothing, not a gap.
+        let with_missing = RecordShingler::new(["title", "year", "authors"], 2).unwrap();
+        assert_eq!(with_missing.text(&r), "the cascade correlation fahlman s");
     }
 
     #[test]
@@ -139,9 +171,9 @@ mod tests {
 
     #[test]
     fn unknown_attributes_are_silently_empty_but_validated_against_datasets() {
-        // Record::concat_named skips unknown attribute names, so the shingler
-        // itself produces empty text; validate_against catches the mistake at
-        // blocker construction time.
+        // Record::value has no value for an unknown attribute name, so the
+        // shingler itself produces empty text; validate_against catches the
+        // mistake at blocker construction time.
         let s = RecordShingler::new(["nonexistent"], 2).unwrap();
         let r = record("abc", "def", 0);
         assert!(s.shingles(&r).is_empty());

@@ -172,31 +172,6 @@ impl Record {
         self.value(attribute).is_none()
     }
 
-    /// Concatenation of the values of the given attribute indices (present
-    /// values only), separated by a single space. This is the "record text"
-    /// that shingling and most baselines operate on.
-    pub fn concat_values(&self, attribute_indices: &[usize]) -> String {
-        let mut out = String::new();
-        for &i in attribute_indices {
-            if let Some(v) = self.value_at(i) {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(v);
-            }
-        }
-        out
-    }
-
-    /// Concatenation of the values of the named attributes.
-    pub fn concat_named(&self, attributes: &[&str]) -> String {
-        let indices: Vec<usize> = attributes
-            .iter()
-            .filter_map(|a| self.schema.index_of(a))
-            .collect();
-        self.concat_values(&indices)
-    }
-
     /// All raw values, in schema order.
     pub fn values(&self) -> &[Option<String>] {
         &self.values
@@ -285,19 +260,6 @@ mod tests {
     fn arity_mismatch_is_rejected() {
         let err = Record::new(RecordId(0), schema(), vec![None]).unwrap_err();
         assert!(matches!(err, DatasetError::ArityMismatch { expected: 3, actual: 1 }));
-    }
-
-    #[test]
-    fn concatenation_skips_missing() {
-        let r = Record::new(
-            RecordId(2),
-            schema(),
-            vec![Some("A Title".into()), None, Some("NIPS".into())],
-        )
-        .unwrap();
-        assert_eq!(r.concat_values(&[0, 1, 2]), "A Title NIPS");
-        assert_eq!(r.concat_named(&["title", "authors"]), "A Title");
-        assert_eq!(r.concat_named(&["authors"]), "");
     }
 
     #[test]

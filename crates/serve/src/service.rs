@@ -33,7 +33,7 @@ use std::time::Instant;
 use sablock_core::incremental::{IncrementalBlocker, IncrementalSaLshBlocker, IndexView, RunningCounts};
 use sablock_core::prelude::BlockCollection;
 use sablock_datasets::{Record, RecordId, Schema};
-use sablock_textual::jaccard_u64;
+use sablock_textual::JaccardScorer;
 
 use crate::error::{Result, ServeError};
 use crate::lockorder;
@@ -163,7 +163,13 @@ impl EpochState {
                 return Ok(QueryOutcome::Degraded { candidates, reason });
             }
         }
-        let probe = self.view.shingle_set(record);
+        // One probe table and two buffers serve every candidate, so scoring
+        // one allocates nothing.
+        let shingler = self.view.shingler();
+        let (mut text, mut hashes) = (String::new(), Vec::new());
+        shingler.window_hashes_into(record, &mut text, &mut hashes);
+        let mut scorer = JaccardScorer::default();
+        scorer.load(&hashes);
         let mut scored: Vec<(RecordId, f64)> = Vec::with_capacity(candidates.len());
         let mut deadline_hit = false;
         for chunk in candidates.chunks(SCORE_CHUNK) {
@@ -174,11 +180,10 @@ impl EpochState {
                 }
             }
             for &id in chunk {
-                let score = self
-                    .store
-                    .get(id)
-                    .map(|candidate| jaccard_u64(&probe, &self.view.shingle_set(candidate)))
-                    .unwrap_or(0.0);
+                let score = self.store.get(id).map_or(0.0, |candidate| {
+                    shingler.window_hashes_into(candidate, &mut text, &mut hashes);
+                    scorer.score(&hashes)
+                });
                 scored.push((id, score));
             }
         }

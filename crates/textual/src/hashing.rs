@@ -103,6 +103,15 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
+/// [`hash_bytes`] of a 1–7 byte slice given packed little-endian in `word`
+/// (byte `i` in bits `8i..8i + 8`, every higher bit zero): such a slice is
+/// one FxHash tail step from the zero state, then the finaliser.
+#[inline]
+pub(crate) fn hash_packed(word: u64, len: usize) -> u64 {
+    debug_assert!((1..8).contains(&len), "a packed word holds 1 to 7 bytes");
+    mix64((word ^ len as u64).wrapping_mul(SEED))
+}
+
 /// One-shot 64-bit hash of a byte slice.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -182,5 +191,21 @@ mod tests {
         struct Key(u32, &'static str);
         assert_eq!(hash_one(&Key(1, "x")), hash_one(&Key(1, "x")));
         assert_ne!(hash_one(&Key(1, "x")), hash_one(&Key(2, "x")));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn packed_words_hash_like_their_bytes(bytes in proptest::collection::vec(any::<u8>(), 1..8)) {
+            let word = bytes.iter().rev().fold(0u64, |word, &b| (word << 8) | u64::from(b));
+            prop_assert_eq!(hash_packed(word, bytes.len()), hash_bytes(&bytes), "{:?}", bytes);
+        }
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! * [`mod@normalize`] — text canonicalisation used before any comparison,
 //! * [`tokens`] — whitespace/word tokenisation,
-//! * [`mod@qgrams`] — character q-gram extraction and shingle sets,
-//! * [`setsim`] — Jaccard / Dice / overlap coefficients over sets,
+//! * [`mod@qgrams`] — character q-gram extraction, shingle sets, and
+//!   in-place hashing of every q-gram window,
+//! * [`setsim`] — Jaccard / Dice / overlap coefficients over sets, and a
+//!   reusable exact Jaccard scorer over shingle hashes,
 //! * [`edit`] — Levenshtein and Damerau-Levenshtein distances,
 //! * [`mod@jaro`] — Jaro and Jaro-Winkler similarity,
 //! * [`lcs`] — longest common substring / subsequence similarity,
@@ -48,9 +50,9 @@ pub use edit::{damerau_levenshtein, levenshtein, levenshtein_similarity};
 pub use hashing::{hash_str, FxHasher64, StableHashSet};
 pub use jaro::{jaro, jaro_winkler};
 pub use lcs::{longest_common_subsequence, longest_common_substring, lcs_similarity};
-pub use normalize::normalize;
+pub use normalize::{normalize, normalize_into};
 pub use qgrams::{padded_qgrams, qgram_set, qgram_similarity, qgrams};
-pub use setsim::{dice, jaccard, jaccard_u64, overlap};
+pub use setsim::{dice, jaccard, overlap, JaccardScorer};
 pub use similarity::{SimilarityFunction, StringSimilarity};
 pub use tfidf::{CosineSimilarity, TfIdfModel};
 pub use tokens::{token_set, tokenize};

@@ -24,21 +24,57 @@
 /// ```
 pub fn normalize(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
-    let mut pending_space = false;
-    for ch in raw.chars() {
-        if ch.is_alphanumeric() {
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            for low in ch.to_lowercase() {
-                out.push(low);
+    normalize_into([raw], &mut out);
+    out
+}
+
+/// Normalises several values as if joined by single spaces, into `out`
+/// (cleared first): `normalize_into(values, out)` leaves exactly
+/// `normalize(&values.join(" "))` in `out`, without building the joined
+/// string. Reusing `out` across calls allocates nothing once it is large
+/// enough; all-ASCII values take a per-byte path.
+///
+/// # Examples
+/// ```
+/// use sablock_textual::normalize::normalize_into;
+/// let mut out = String::new();
+/// normalize_into(["The Cascade-Correlation!", "", "Fahlman, S."], &mut out);
+/// assert_eq!(out, "the cascade correlation fahlman s");
+/// ```
+pub fn normalize_into<'a>(values: impl IntoIterator<Item = &'a str>, out: &mut String) {
+    out.clear();
+    for value in values {
+        // The boundary between two values is a separator, like the space
+        // that would join them.
+        let mut pending_space = true;
+        // Room for the value and its separator, enough for any ASCII value.
+        out.reserve(value.len() + 1);
+        if value.is_ascii() {
+            for &byte in value.as_bytes() {
+                if byte.is_ascii_alphanumeric() {
+                    if pending_space && !out.is_empty() {
+                        out.push(' ');
+                    }
+                    pending_space = false;
+                    out.push(char::from(byte.to_ascii_lowercase()));
+                } else {
+                    pending_space = true;
+                }
             }
         } else {
-            pending_space = true;
+            for ch in value.chars() {
+                if ch.is_alphanumeric() {
+                    if pending_space && !out.is_empty() {
+                        out.push(' ');
+                    }
+                    pending_space = false;
+                    out.extend(ch.to_lowercase());
+                } else {
+                    pending_space = true;
+                }
+            }
         }
     }
-    out
 }
 
 /// Normalises a value and strips inner spaces entirely.
@@ -117,6 +153,17 @@ mod tests {
     }
 
     #[test]
+    fn normalize_into_treats_value_boundaries_as_spaces() {
+        let values = ["İstanbul", "--", "", "Straße", "ǅemal", "  "];
+        let mut out = String::new();
+        normalize_into(values, &mut out);
+        assert_eq!(out, normalize(&values.join(" ")));
+        assert_eq!(out, "i\u{307}stanbul straße ǆemal");
+        normalize_into(["", " . "], &mut out);
+        assert_eq!(out, "");
+    }
+
+    #[test]
     fn compact_removes_spaces() {
         assert_eq!(normalize_compact("Qing  Wang"), "qingwang");
     }
@@ -141,5 +188,59 @@ mod tests {
     #[test]
     fn digits_are_kept() {
         assert_eq!(normalize("TR-95 (1995)"), "tr 95 1995");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Characters that exercise every branch of the normaliser: ASCII
+    /// letters, digits, separators and controls, and non-ASCII letters whose
+    /// lower case is longer (`İ`), is themselves (`ß`), or is a titlecase
+    /// pair (`ǅ`), plus combining marks and symbols.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', 'q', '0', '9', ' ', ' ', '-', ',', '.', '\t', '\u{1}', 'İ', 'ß', 'ǅ', 'Σ', 'é', 'Ä', '\u{307}',
+        '日', '٣', '€', '😀',
+    ];
+
+    /// The per-`char` normaliser without the ASCII byte path: the
+    /// reference both paths of [`normalize_into`] must agree with.
+    fn char_by_char(raw: &str) -> String {
+        let mut out = String::new();
+        let mut pending_space = false;
+        for ch in raw.chars() {
+            if ch.is_alphanumeric() {
+                if pending_space && !out.is_empty() {
+                    out.push(' ');
+                }
+                pending_space = false;
+                out.extend(ch.to_lowercase());
+            } else {
+                pending_space = true;
+            }
+        }
+        out
+    }
+
+    fn arb_value() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..ALPHABET.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn normalize_into_equals_normalize_of_the_joined_values(
+            values in proptest::collection::vec(arb_value(), 0..5)
+        ) {
+            let joined = values.join(" ");
+            let mut out = String::from("stale");
+            normalize_into(values.iter().map(String::as_str), &mut out);
+            prop_assert_eq!(&out, &normalize(&joined));
+            prop_assert_eq!(&out, &char_by_char(&joined));
+        }
     }
 }

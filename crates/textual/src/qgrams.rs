@@ -6,11 +6,12 @@
 //! similarity that the LSH family approximates. The experiments sweep
 //! `q ∈ {2, 3, 4}` (Fig. 6) and pick `q = 4` for Cora, `q = 2` for NC Voter.
 
-use crate::hashing::{hash_str, StableHashSet};
+use crate::hashing::{hash_packed, hash_str, StableHashSet};
 use crate::normalize::normalize;
 use crate::setsim::jaccard;
 
-/// Extracts the (multiset-deduplicated) q-grams of a normalised string.
+/// Extracts every q-gram window of a normalised string, in order —
+/// repeated grams included, one entry per window.
 ///
 /// When the string is shorter than `q`, the whole string is returned as a
 /// single gram so that very short values (initials, single tokens) still
@@ -23,6 +24,7 @@ use crate::setsim::jaccard;
 /// ```
 /// use sablock_textual::qgrams;
 /// assert_eq!(qgrams("abcd", 2), vec!["ab", "bc", "cd"]);
+/// assert_eq!(qgrams("abab", 2), vec!["ab", "ba", "ab"]);
 /// assert_eq!(qgrams("ab", 3), vec!["ab"]);
 /// assert!(qgrams("", 2).is_empty());
 /// ```
@@ -38,6 +40,51 @@ pub fn qgrams(text: &str, q: usize) -> Vec<String> {
     (0..=chars.len() - q)
         .map(|i| chars[i..i + q].iter().collect())
         .collect()
+}
+
+/// The longest gram the packed-word path hashes: FxHash takes a 1–7 byte
+/// input in one tail step ([`hash_packed`]).
+const MAX_PACKED_GRAM: usize = 7;
+
+/// Hashes every q-gram window of `text` into `hashes` (cleared first):
+/// exactly [`qgrams`]`(text, q)` mapped through [`hash_str`], in the same
+/// order, without building any gram. Reusing `hashes` across calls
+/// allocates nothing once it is large enough.
+///
+/// ASCII text with `q ≤ 7` slides one packed little-endian word over the
+/// bytes and hashes it in place; other text hashes each window's byte
+/// slice.
+///
+/// # Panics
+/// Panics if `q == 0`.
+///
+/// # Examples
+/// ```
+/// use sablock_textual::{hash_str, qgrams::hash_qgrams_into};
+/// let mut hashes = Vec::new();
+/// hash_qgrams_into("abab", 2, &mut hashes);
+/// assert_eq!(hashes, [hash_str("ab"), hash_str("ba"), hash_str("ab")]);
+/// ```
+pub fn hash_qgrams_into(text: &str, q: usize, hashes: &mut Vec<u64>) {
+    assert!(q > 0, "q-gram size must be positive");
+    hashes.clear();
+    if q <= MAX_PACKED_GRAM && text.len() >= q && text.is_ascii() {
+        // Each new byte enters at the window's last position and the oldest
+        // leaves at the bottom; bits above the window stay zero.
+        let top = 8 * (q - 1);
+        let (head, tail) = text.as_bytes().split_at(q - 1);
+        let mut word = head.iter().fold(0u64, |word, &byte| (word >> 8) | (u64::from(byte) << top));
+        hashes.extend(tail.iter().map(|&byte| {
+            word = (word >> 8) | (u64::from(byte) << top);
+            hash_packed(word, q)
+        }));
+        return;
+    }
+    // Window k spans chars k..k + q. With fewer than q chars the only end
+    // is the text's own, so the whole text is the one gram, as in `qgrams`.
+    let starts = text.char_indices().map(|(at, _)| at);
+    let ends = text.char_indices().map(|(at, _)| at).skip(q).chain(std::iter::once(text.len()));
+    hashes.extend(starts.zip(ends).map(|(start, end)| hash_str(&text[start..end])));
 }
 
 /// Extracts padded q-grams: the string is surrounded by `q - 1` copies of a
@@ -83,10 +130,9 @@ pub fn qgram_set(raw: &str, q: usize) -> StableHashSet<String> {
 /// Hashing the grams to `u64` keeps shingle sets compact (8 bytes per gram)
 /// and is what the minhash implementation consumes.
 pub fn hashed_qgram_set(raw: &str, q: usize) -> StableHashSet<u64> {
-    qgrams(&normalize(raw), q)
-        .into_iter()
-        .map(|g| hash_str(&g))
-        .collect()
+    let mut hashes = Vec::new();
+    hash_qgrams_into(&normalize(raw), q, &mut hashes);
+    hashes.into_iter().collect()
 }
 
 /// Jaccard similarity of the q-gram sets of two raw values.
@@ -207,5 +253,54 @@ mod tests {
         assert_eq!(exact_value_similarity("The Title", "the   title!"), 1.0);
         assert_eq!(exact_value_similarity("a", "b"), 0.0);
         assert_eq!(exact_value_similarity("", ""), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// ASCII letters and separators, plus multi-byte chars of every UTF-8
+    /// width, so windows of q ≤ 9 chars cross the 8-byte word both in
+    /// bytes and in chars.
+    const ALPHABET: &[char] =
+        &['a', 'b', 'c', 'z', '0', ' ', '-', '\u{1}', 'é', 'ß', 'İ', 'ǅ', '\u{307}', '日', '😀'];
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..2 * ALPHABET.len(), 0..24).prop_map(|picks| {
+            // Half the draws stay ASCII-only so the packed-word path runs
+            // as often as the general one.
+            let ascii_only = picks.first().is_some_and(|&first| first % 2 == 0);
+            picks
+                .into_iter()
+                .map(|pick| ALPHABET[pick % ALPHABET.len()])
+                .filter(|ch| !ascii_only || ch.is_ascii())
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hashed_windows_equal_hashed_qgrams(text in arb_text(), q in 1usize..10) {
+            let mut hashes = vec![42];
+            hash_qgrams_into(&text, q, &mut hashes);
+            let expected: Vec<u64> = qgrams(&text, q).iter().map(|gram| hash_str(gram)).collect();
+            prop_assert_eq!(hashes, expected, "text {:?}, q {}", text, q);
+        }
+
+        #[test]
+        fn hashed_windows_equal_hashed_qgrams_on_any_scalar_values(
+            codes in proptest::collection::vec(any::<u32>(), 0..16),
+            q in 1usize..10
+        ) {
+            let text: String = codes.into_iter().filter_map(|code| char::from_u32(code % 0x11_0000)).collect();
+            let mut hashes = Vec::new();
+            hash_qgrams_into(&text, q, &mut hashes);
+            let expected: Vec<u64> = qgrams(&text, q).iter().map(|gram| hash_str(gram)).collect();
+            prop_assert_eq!(hashes, expected, "text {:?}, q {}", text, q);
+        }
     }
 }

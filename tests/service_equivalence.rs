@@ -3,6 +3,8 @@
 //! would pair the probe with over `corpus ∪ {probe}` — regardless of how the
 //! corpus was split into insert batches, for plain LSH and semantic SA-LSH
 //! configurations alike, and (with dense-id remapping) after removals.
+//! A ranked query returns that same set, each candidate scored with its
+//! exact shingle-set Jaccard similarity to the probe.
 //!
 //! The vendored `proptest` derives its RNG seed from the test name, so every
 //! run replays the same fixed-seed case set.
@@ -168,4 +170,53 @@ proptest! {
         let expected: Vec<RecordId> = expected_dense.iter().map(|id| live_ids[id.index()]).collect();
         prop_assert_eq!(query_ids(&service, &probe), expected);
     }
+}
+
+/// `QUERYK`'s ranking over a real corpus: a 2,000-row Cora service ranks
+/// exactly the probe's candidate set, scores each candidate with the exact
+/// shingle-set Jaccard similarity (compared with `==`), and orders by score
+/// descending, then id ascending. The probes are 50 held-out rows plus a
+/// non-ASCII and a punctuation-heavy variant of one of them.
+#[test]
+fn ranked_query_scores_are_exact_jaccard_over_a_cora_corpus() {
+    let dataset = CoraGenerator::new(CoraConfig { num_records: 2_050, ..CoraConfig::default() }).generate().unwrap();
+    let rows: Vec<Vec<Option<String>>> = dataset.records().iter().map(|record| record.values().to_vec()).collect();
+    let (corpus, held_out) = rows.split_at(2_000);
+    let service =
+        CandidateService::new(salsh_builder().into_incremental().unwrap(), Arc::clone(dataset.schema())).unwrap();
+    service.insert_rows(corpus.to_vec()).unwrap();
+    let state = service.current();
+    let shingler = state.view().shingler();
+
+    let title = dataset.schema().index_of("title").unwrap();
+    let base_title = held_out[0][title].clone().unwrap();
+    let mut non_ascii = held_out[0].clone();
+    non_ascii[title] = Some(format!("{base_title} — Ünïcödé İSTANBUL Straße ǅemal 日本語 ΣΊΣΥΦΟΣ"));
+    let mut punctuated = held_out[0].clone();
+    punctuated[title] = Some(format!("...{}!!! (((v2))) ;;; --", base_title.replace(' ', "--//--")));
+    let probes: Vec<Vec<Option<String>>> = held_out.iter().cloned().chain([non_ascii, punctuated]).collect();
+
+    let mut ranked_candidates = 0usize;
+    for (at, values) in probes.into_iter().enumerate() {
+        let probe = service.probe_record(&state, values).unwrap();
+        let candidates = state.query(&probe).unwrap();
+        let ranked = state.query_top_k(&probe, usize::MAX).unwrap();
+        if at >= held_out.len() {
+            assert!(!candidates.is_empty(), "probe {at} should collide with the corpus");
+        }
+
+        let mut ranked_ids: Vec<RecordId> = ranked.iter().map(|&(id, _)| id).collect();
+        ranked_ids.sort_unstable();
+        assert_eq!(ranked_ids, candidates, "probe {at}: the ranking covers exactly the candidate set");
+        for &(id, score) in &ranked {
+            let stored = state.record(id).unwrap();
+            assert_eq!(score, shingler.jaccard(&probe, stored), "probe {at}, candidate {id}");
+        }
+        for pair in ranked.windows(2) {
+            let ((first_id, first), (second_id, second)) = (pair[0], pair[1]);
+            assert!(first > second || (first == second && first_id < second_id), "probe {at}: order {pair:?}");
+        }
+        ranked_candidates += ranked.len();
+    }
+    assert!(ranked_candidates > 1_000, "the probes should rank a real workload, got {ranked_candidates} candidates");
 }
