@@ -142,8 +142,10 @@ pub struct AllSubstringsBlocking {
     key: BlockingKey,
     min_suffix_len: usize,
     max_block_size: usize,
-    substring_cap: usize,
 }
+
+/// The most substrings [`AllSubstringsBlocking`] generates per record.
+const SUBSTRING_CAP: usize = 512;
 
 impl AllSubstringsBlocking {
     /// Creates the blocker with the same parameters as [`SuffixArrayBlocking`].
@@ -153,14 +155,7 @@ impl AllSubstringsBlocking {
             key,
             min_suffix_len,
             max_block_size,
-            substring_cap: 512,
         })
-    }
-
-    /// Caps the number of substrings generated per record (default 512).
-    pub fn with_substring_cap(mut self, cap: usize) -> Self {
-        self.substring_cap = cap.max(1);
-        self
     }
 }
 
@@ -171,7 +166,7 @@ impl Blocker for AllSubstringsBlocking {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.key.validate_against(dataset)?;
-        let index = build_index(dataset, &self.key, self.min_suffix_len, true, self.substring_cap);
+        let index = build_index(dataset, &self.key, self.min_suffix_len, true, SUBSTRING_CAP);
         let blocks = index
             .into_iter()
             .filter(|(_, members)| members.len() >= 2 && members.len() <= self.max_block_size)

@@ -557,12 +557,6 @@ impl IncrementalSaLshBlocker {
         self.ingest(records, Some(entities))
     }
 
-    /// [`IncrementalBlocker::insert_batch`] taking ownership (avoids the
-    /// caller keeping a second copy of the batch alive).
-    pub fn insert_batch_owned(&mut self, records: Vec<Record>) -> Result<&DeltaPairs> {
-        self.ingest(&records, None)
-    }
-
     fn wrap_rows(&self, schema: &Arc<Schema>, rows: Vec<Vec<Option<String>>>) -> Result<Vec<Record>> {
         let base = self.next_id;
         rows.into_iter()

@@ -63,15 +63,6 @@ impl SaLshBlocker {
         SaLshBlockerBuilder::default()
     }
 
-    /// Convenience constructor for a textual-only LSH blocker.
-    pub fn textual<I, S>(attributes: I, minhash: MinhashConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self::builder().attributes(attributes).minhash(minhash).build()
-    }
-
     /// The minhash configuration in use.
     pub fn minhash_config(&self) -> &MinhashConfig {
         &self.minhash
@@ -526,12 +517,5 @@ mod tests {
         assert!(blocks.num_distinct_pairs() > 0);
         // Blocking must reduce the comparison space drastically.
         assert!(blocks.num_distinct_pairs() < dataset.num_total_pairs() / 2);
-    }
-
-    #[test]
-    fn textual_convenience_constructor() {
-        let blocker = SaLshBlocker::textual(["title"], MinhashConfig::cora_paper()).unwrap();
-        assert!(!blocker.is_semantic());
-        assert_eq!(blocker.minhash_config().bands, 63);
     }
 }

@@ -1,15 +1,16 @@
 //! `sablock-serve` — a long-running candidate-lookup server.
 //!
 //! Speaks the [`sablock_serve::protocol`] line protocol over **stdin**
-//! (default) or a **TCP listener** (`--tcp ADDR`). The index configuration
-//! comes from a named profile; `--load` resumes from a checksummed snapshot
-//! written by a previous `SAVE` request, and `--wal DIR` makes the service
-//! *durable*: every write batch is logged before it applies, `CHECKPOINT`
-//! compacts the log, and a restart recovers to exactly the last durable
-//! batch.
+//! (default) or a **TCP listener** (`--tcp ADDR`); both run the same
+//! [`sablock_serve::protocol::serve_session`] loop. The index configuration
+//! comes from a named profile. Without `--wal` the index lives in memory
+//! only; `--wal DIR` makes the service *durable* and is the one way to
+//! persist and resume: every write batch is logged before it applies,
+//! `CHECKPOINT` snapshots the index and compacts the log, and a restart
+//! recovers to exactly the last durable batch.
 //!
 //! ```text
-//! sablock-serve [--profile cora|voter] [--tcp ADDR] [--load SNAPSHOT]
+//! sablock-serve [--profile cora|voter] [--tcp ADDR]
 //!               [--wal DIR] [--fsync always|never|every=N] [--segment-bytes N]
 //!               [--workers N] [--queue-depth N] [--max-sessions N]
 //!               [--read-timeout-ms N] [--write-timeout-ms N]
@@ -21,7 +22,6 @@
 //! timeouts and per-request deadlines, and connections past the queue depth
 //! get a `RETRY` backoff line instead of waiting unboundedly.
 
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +30,7 @@ use sablock_core::prelude::*;
 use sablock_datasets::generators::cora::CORA_ATTRIBUTES;
 use sablock_datasets::generators::ncvoter::NCVOTER_ATTRIBUTES;
 use sablock_datasets::Schema;
-use sablock_serve::protocol::{handle_line_with, read_bounded_line, Outcome, RequestLimits};
+use sablock_serve::protocol::serve_session;
 use sablock_serve::{
     serve_tcp, CandidateService, FrontendOptions, FsyncPolicy, Result, ServeError, WalOptions,
 };
@@ -79,7 +79,6 @@ fn profile(name: &str) -> Result<Profile> {
 struct Options {
     profile: String,
     tcp: Option<String>,
-    load: Option<String>,
     wal: Option<String>,
     wal_options: WalOptions,
     frontend: FrontendOptions,
@@ -102,7 +101,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>> {
     let mut options = Options {
         profile: "cora".into(),
         tcp: None,
-        load: None,
         wal: None,
         wal_options: WalOptions::default(),
         frontend: FrontendOptions::default(),
@@ -122,7 +120,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>> {
         match flag.as_str() {
             "--profile" => options.profile = value("--profile")?,
             "--tcp" => options.tcp = Some(value("--tcp")?),
-            "--load" => options.load = Some(value("--load")?),
             "--wal" => options.wal = Some(value("--wal")?),
             "--fsync" => options.wal_options.fsync = parse_fsync(&value("--fsync")?)?,
             "--segment-bytes" => options.wal_options.segment_bytes = number("--segment-bytes")?.max(1),
@@ -147,61 +144,18 @@ fn parse_args(args: &[String]) -> Result<Option<Options>> {
             other => return Err(ServeError::Protocol(format!("unknown flag '{other}' (try --help)"))),
         }
     }
-    if options.wal.is_some() && options.load.is_some() {
-        return Err(ServeError::Protocol(
-            "--wal and --load conflict: a WAL directory recovers its own snapshots \
-             (checkpoint into the directory instead)"
-                .into(),
-        ));
-    }
     Ok(Some(options))
 }
 
-const USAGE: &str = "sablock-serve [--profile cora|voter] [--tcp ADDR] [--load SNAPSHOT]\n\
+const USAGE: &str = "sablock-serve [--profile cora|voter] [--tcp ADDR]\n\
                      \x20             [--wal DIR] [--fsync always|never|every=N] [--segment-bytes N]\n\
                      \x20             [--workers N] [--queue-depth N] [--max-sessions N]\n\
                      \x20             [--read-timeout-ms N] [--write-timeout-ms N]\n\
                      \x20             [--deadline-ms N] [--budget N] [--max-line-bytes N] [--retry-ms N]\n\
-                     Serves the line protocol (QUERY/QUERYK/INSERT/REMOVE/STATS/SAVE/CHECKPOINT/QUIT,\n\
+                     Serves the line protocol (QUERY/QUERYK/INSERT/REMOVE/STATS/CHECKPOINT/QUIT,\n\
                      tab-separated fields) on stdin, or concurrently on ADDR with --tcp.\n\
-                     --wal makes writes durable: batches are logged before applying and a\n\
-                     restart recovers to the last durable batch.";
-
-/// Drains one bounded line-protocol session from `input`, replying on
-/// `output`. An overlong line gets one `ERR` and ends the session (the rest
-/// of the line is unread garbage); other malformed input is reported and
-/// the session continues.
-fn serve_session(
-    service: &CandidateService,
-    limits: &RequestLimits,
-    mut input: impl std::io::BufRead,
-    mut output: impl Write,
-) -> Result<()> {
-    loop {
-        match read_bounded_line(&mut input, limits.max_line_bytes) {
-            Ok(None) => return Ok(()),
-            Ok(Some(line)) => {
-                match handle_line_with(service, limits, &line) {
-                    Outcome::Reply(reply) => writeln!(output, "{reply}")?,
-                    Outcome::Quit(reply) => {
-                        writeln!(output, "{reply}")?;
-                        return Ok(());
-                    }
-                }
-                output.flush()?;
-            }
-            Err(error @ ServeError::LineTooLong { .. }) => {
-                writeln!(output, "ERR {error}")?;
-                return Ok(());
-            }
-            Err(error @ ServeError::Protocol(_)) => {
-                writeln!(output, "ERR {error}")?;
-                output.flush()?;
-            }
-            Err(error) => return Err(error),
-        }
-    }
-}
+                     --wal makes writes durable: batches are logged before applying, CHECKPOINT\n\
+                     snapshots the index into DIR, and a restart recovers to the last durable batch.";
 
 fn run() -> Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -210,8 +164,8 @@ fn run() -> Result<()> {
         return Ok(());
     };
     let Profile { schema, blocker } = profile(&options.profile)?;
-    let service = match (&options.wal, &options.load) {
-        (Some(dir), _) => {
+    let service = match &options.wal {
+        Some(dir) => {
             let (service, report) =
                 CandidateService::open_durable(blocker, schema, Path::new(dir), options.wal_options.clone())?;
             eprintln!(
@@ -221,8 +175,7 @@ fn run() -> Result<()> {
             );
             service
         }
-        (None, Some(path)) => CandidateService::load(blocker, schema, Path::new(path))?,
-        (None, None) => CandidateService::new(blocker, schema)?,
+        None => CandidateService::new(blocker, schema)?,
     };
     let state = service.current();
     eprintln!(

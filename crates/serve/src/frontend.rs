@@ -1,7 +1,7 @@
 //! The concurrent TCP front-end: a bounded worker pool over the line
 //! protocol.
 //!
-//! [`serve_tcp`] lifts the protocol loop onto
+//! [`serve_tcp`] lifts the protocol's session loop onto
 //! [`sablock_core::parallel::worker_pool`]: the accepting thread produces
 //! connections into a bounded [`JobQueue`] and a fixed set of workers
 //! serves them. Overload is handled at two gates, both explicit:
@@ -28,8 +28,8 @@ use std::time::Duration;
 
 use sablock_core::parallel::worker_pool;
 
-use crate::error::{Result, ServeError};
-use crate::protocol::{handle_line_with, read_bounded_line, Outcome, RequestLimits};
+use crate::error::Result;
+use crate::protocol::{serve_session, RequestLimits};
 use crate::service::CandidateService;
 
 /// Configuration for [`serve_tcp`].
@@ -104,57 +104,20 @@ fn shed(service: &CandidateService, mut stream: TcpStream, options: &FrontendOpt
     let _ = stream.write_all(format!("RETRY {}\n", options.retry_after_ms).as_bytes());
 }
 
-/// Serves one admitted connection until `QUIT`, EOF, an overlong line, or a
-/// socket timeout/failure (the last reaps the connection).
+/// Serves one admitted connection through [`serve_session`] until `QUIT`,
+/// EOF or an overlong line. A socket timeout or transport failure reaps the
+/// connection, and so does failing to set the timeouts: the socket is
+/// already dead, and must not be served untimed.
 fn serve_connection(service: &CandidateService, stream: TcpStream, options: &FrontendOptions) {
-    // Timeout configuration failing means the socket is already dead;
-    // reap it rather than serving it untimed.
-    if stream.set_read_timeout(Some(options.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(options.write_timeout)).is_err()
-    {
-        service.metrics().record_reaped();
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => {
-            service.metrics().record_reaped();
-            return;
-        }
+    let timed = stream
+        .set_read_timeout(Some(options.read_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(options.write_timeout)))
+        .and_then(|()| stream.try_clone());
+    let served = match timed {
+        Ok(writer) => serve_session(service, &options.limits, BufReader::new(stream), writer),
+        Err(error) => Err(error.into()),
     };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_bounded_line(&mut reader, options.limits.max_line_bytes) {
-            Ok(None) => return,
-            Ok(Some(line)) => {
-                let outcome = handle_line_with(service, &options.limits, &line);
-                if writer.write_all(format!("{}\n", outcome.reply()).as_bytes()).is_err() {
-                    service.metrics().record_reaped();
-                    return;
-                }
-                if matches!(outcome, Outcome::Quit(_)) {
-                    return;
-                }
-            }
-            Err(error @ ServeError::LineTooLong { .. }) => {
-                // The rest of the oversized line is unread garbage: answer
-                // once, then close so it cannot be misparsed as requests.
-                let _ = writer.write_all(format!("ERR {error}\n").as_bytes());
-                return;
-            }
-            Err(error @ ServeError::Protocol(_)) => {
-                // Non-UTF-8 noise on an otherwise intact line: report and
-                // keep serving — a typo must not cost the session.
-                if writer.write_all(format!("ERR {error}\n").as_bytes()).is_err() {
-                    service.metrics().record_reaped();
-                    return;
-                }
-            }
-            Err(_) => {
-                // Timeout or transport failure: reap.
-                service.metrics().record_reaped();
-                return;
-            }
-        }
+    if served.is_err() {
+        service.metrics().record_reaped();
     }
 }

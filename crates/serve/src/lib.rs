@@ -12,17 +12,20 @@
 //!   query is observationally equivalent to one-shot blocking over
 //!   `corpus ∪ {probe}` ([`IndexView::candidates`]
 //!   contract), optionally top-k ranked by shingle-set Jaccard similarity.
-//! * [`persist`] — versioned, checksummed binary snapshots
-//!   ([`CandidateService::save`] / [`CandidateService::load`]) so a restart
-//!   resumes from disk instead of re-blocking the corpus, with corruption
-//!   surfacing as typed [`ServeError`]s.
+//! * [`persist`] — versioned, checksummed binary snapshots, written by
+//!   [`CandidateService::checkpoint`] into a WAL directory and read back by
+//!   recovery or by [`CandidateService::load`], so a restart resumes from
+//!   disk instead of re-blocking the corpus, with corruption surfacing as
+//!   typed [`ServeError`]s.
 //! * [`protocol`] — the tab-separated line protocol the `sablock-serve`
-//!   binary speaks over stdin or TCP, with bounded line reads, per-request
+//!   binary speaks over stdin or TCP through one session loop
+//!   ([`protocol::serve_session`]), with bounded line reads, per-request
 //!   deadlines, and explicit `DEGRADED`/`RETRY` overload responses.
 //! * [`wal`] — write-ahead durability: checksummed op records appended
 //!   before each batch applies, segment rotation and fsync policy knobs,
 //!   and crash recovery that replays `snapshot + WAL suffix` to exactly the
-//!   last durable batch ([`CandidateService::open_durable`]).
+//!   last durable batch ([`CandidateService::open_durable`]). A WAL
+//!   directory plus `CHECKPOINT` is the one way to persist and resume.
 //! * [`frontend`] / [`client`] — a bounded worker-pool TCP front-end with
 //!   per-connection timeouts and queue-depth shedding, and a line client
 //!   that honours `RETRY` backpressure with exponential backoff.

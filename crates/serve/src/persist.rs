@@ -339,7 +339,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile> {
 /// a crash mid-write can leave a stale snapshot or a stray temp file but
 /// never a torn one under the target name. The containing directory is
 /// fsynced best-effort to persist the rename itself.
-pub fn save_to_path(path: &Path, name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<()> {
+pub(crate) fn save_to_path(path: &Path, name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<()> {
     let bytes = to_bytes(name, schema, dump, store)?;
     write_atomically(path, &bytes)
 }

@@ -12,9 +12,8 @@
 //! | `INSERT\t<v1>\t<v2>…` | `OK <id> epoch <e>` — ingests the row, echoes its id |
 //! | `REMOVE\t<id>` | `OK removed <id> epoch <e>` (`OK absent …` when already removed) |
 //! | `STATS` | `OK epoch <e> records <n> live <l> tombstoned <t> compactions <c> cow <w> pairs <Γ> shed <s> degraded <d> wal <base>:<bytes> q50us <p50> q99us <p99>` |
-//! | `SAVE\t<path>` | `OK saved <path>` — checksummed snapshot of the index |
 //! | `CHECKPOINT` | `OK checkpoint <epoch>` — durable services only: snapshot + WAL rotation |
-//! | `QUIT` | `OK bye` and the connection/loop ends |
+//! | `QUIT` | `OK bye` and the session ends |
 //!
 //! `STATS` reports `wal -` for an in-memory service and latencies as whole
 //! microseconds over the queries served so far. `cow` counts the index
@@ -25,14 +24,15 @@
 //!
 //! An empty value field means the attribute is missing (`None`); rows
 //! shorter than the schema are padded with missing values. Malformed
-//! requests get `ERR <reason>` and the loop continues — a client typo must
-//! not take the service down. Lines are read through
-//! [`read_bounded_line`], which rejects anything over
+//! requests get `ERR <reason>` and the session continues — a client typo
+//! must not take the service down. [`serve_session`] is the one session
+//! loop, over stdin and over each TCP connection alike. It reads lines
+//! through [`read_bounded_line`], which rejects anything over
 //! [`RequestLimits::max_line_bytes`] *before* buffering it, so a malicious
 //! client cannot drive unbounded allocation.
 
 use std::fmt::Write as _;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
 use sablock_datasets::RecordId;
@@ -43,8 +43,8 @@ use crate::service::{CandidateService, QueryBudget, QueryOutcome};
 /// The default cap on one protocol line: 64 KiB.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Per-request admission limits, owned by whatever drives the session loop
-/// (the TCP front-end, the stdin loop, a test).
+/// Per-request admission limits, owned by whatever drives [`serve_session`]
+/// (the TCP front-end, the stdin transport, a test).
 #[derive(Debug, Clone, Copy)]
 pub struct RequestLimits {
     /// Reject lines longer than this many bytes (newline excluded) with
@@ -76,8 +76,6 @@ pub enum Request {
     Remove(RecordId),
     /// Service counters.
     Stats,
-    /// Persist a snapshot to the given path.
-    Save(String),
     /// Snapshot + WAL rotation at the current epoch (durable services).
     Checkpoint,
     /// End the session.
@@ -166,15 +164,6 @@ pub fn parse_request(line: &str, schema_width: usize) -> Result<Request> {
             Ok(Request::Remove(RecordId(id)))
         }
         "STATS" if rest.is_empty() => Ok(Request::Stats),
-        "SAVE" => {
-            let [path] = rest.as_slice() else {
-                return Err(ServeError::Protocol("SAVE takes exactly one path".into()));
-            };
-            if path.is_empty() {
-                return Err(ServeError::Protocol("SAVE path must not be empty".into()));
-            }
-            Ok(Request::Save((*path).to_string()))
-        }
         "CHECKPOINT" if rest.is_empty() => Ok(Request::Checkpoint),
         "QUIT" if rest.is_empty() => Ok(Request::Quit),
         other => Err(ServeError::Protocol(format!("unknown request verb '{other}'"))),
@@ -265,17 +254,11 @@ fn execute(service: &CandidateService, limits: &RequestLimits, request: Request)
             Ok(Outcome::Reply(format!("OK {id} epoch {}", state.epoch())))
         }
         Request::Remove(id) => {
-            let before = service.current();
-            let live_before = before.view().is_live(id);
-            let state = service.remove(id)?;
-            let word = if live_before { "removed" } else { "absent" };
+            let (state, tombstoned) = service.remove(id)?;
+            let word = if tombstoned { "removed" } else { "absent" };
             Ok(Outcome::Reply(format!("OK {word} {} epoch {}", id.0, state.epoch())))
         }
         Request::Stats => Ok(Outcome::Reply(render_stats(service))),
-        Request::Save(path) => {
-            service.save(std::path::Path::new(&path))?;
-            Ok(Outcome::Reply(format!("OK saved {path}")))
-        }
         Request::Checkpoint => {
             let epoch = service.checkpoint()?;
             Ok(Outcome::Reply(format!("OK checkpoint {epoch}")))
@@ -300,6 +283,39 @@ pub fn handle_line_with(service: &CandidateService, limits: &RequestLimits, line
 /// line back and only `QUIT` ends it.
 pub fn handle_line(service: &CandidateService, line: &str) -> Outcome {
     handle_line_with(service, &RequestLimits::default(), line)
+}
+
+/// Serves one session: reads bounded request lines from `reader` and
+/// answers each on `writer` until `QUIT` or EOF. An overlong line gets one
+/// `ERR` and ends the session (the rest of the line is unread garbage); a
+/// non-UTF-8 line gets an `ERR` and the session continues. Each reply
+/// leaves in one `write_all` of the line and its newline, then a flush.
+/// Any other read failure, or any write failure, ends the session with
+/// that error — over TCP, a timed-out or dead peer.
+pub fn serve_session(
+    service: &CandidateService,
+    limits: &RequestLimits,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+) -> Result<()> {
+    loop {
+        let (mut reply, last) = match read_bounded_line(&mut reader, limits.max_line_bytes) {
+            Ok(None) => return Ok(()),
+            Ok(Some(line)) => match handle_line_with(service, limits, &line) {
+                Outcome::Reply(reply) => (reply, false),
+                Outcome::Quit(reply) => (reply, true),
+            },
+            Err(error @ ServeError::LineTooLong { .. }) => (format!("ERR {error}"), true),
+            Err(error @ ServeError::Protocol(_)) => (format!("ERR {error}"), false),
+            Err(error) => return Err(error),
+        };
+        reply.push('\n');
+        writer.write_all(reply.as_bytes())?;
+        writer.flush()?;
+        if last {
+            return Ok(());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -336,7 +352,6 @@ mod tests {
         assert_eq!(parse_request("INSERT\t\tsmith", 2).unwrap(), Request::Insert(vec![None, Some("smith".into())]));
         assert_eq!(parse_request("REMOVE\t7", 2).unwrap(), Request::Remove(RecordId(7)));
         assert_eq!(parse_request("STATS", 2).unwrap(), Request::Stats);
-        assert_eq!(parse_request("SAVE\t/tmp/x.snap", 2).unwrap(), Request::Save("/tmp/x.snap".into()));
         assert_eq!(parse_request("CHECKPOINT", 2).unwrap(), Request::Checkpoint);
         assert_eq!(parse_request("QUIT", 2).unwrap(), Request::Quit);
         for bad in [
@@ -345,7 +360,7 @@ mod tests {
             "QUERYK\tx\ty",
             "REMOVE\tnot-a-number",
             "REMOVE\t1\t2",
-            "SAVE\t",
+            "SAVE\t/tmp/x.snap",
             "STATS\textra",
             "CHECKPOINT\tnow",
         ] {

@@ -255,7 +255,7 @@ impl CandidateService {
         if head.num_records() != 0 {
             return Err(ServeError::Protocol(format!(
                 "CandidateService::new requires an empty index, got one with {} records \
-                 (use CandidateService::load to adopt persisted state)",
+                 (use CandidateService::open_durable to resume persisted state)",
                 head.num_records()
             )));
         }
@@ -544,11 +544,6 @@ impl CandidateService {
         state
     }
 
-    /// Inserts one batch of records ([`WriteOp::Insert`]) as its own epoch.
-    pub fn insert_batch(&self, records: Vec<Record>) -> Result<Arc<EpochState>> {
-        self.apply(vec![WriteOp::Insert(records)])
-    }
-
     /// Inserts raw value rows: each row is wrapped in a [`Record`] carrying
     /// the service schema and the next dense id (assigned under the writer
     /// lock, so concurrent callers cannot race the id space), then ingested
@@ -567,19 +562,15 @@ impl CandidateService {
         self.apply_locked(&mut writer, vec![WriteOp::Insert(records)])
     }
 
-    /// Tombstones one record ([`WriteOp::Remove`]) as its own epoch.
-    pub fn remove(&self, id: RecordId) -> Result<Arc<EpochState>> {
-        self.apply(vec![WriteOp::Remove(id)])
-    }
-
-    /// Convenience: [`EpochState::query`] on the current epoch.
-    pub fn query(&self, record: &Record) -> Result<Vec<RecordId>> {
-        self.current().query(record)
-    }
-
-    /// Convenience: [`EpochState::query_top_k`] on the current epoch.
-    pub fn query_top_k(&self, record: &Record, k: usize) -> Result<Vec<(RecordId, f64)>> {
-        self.current().query_top_k(record, k)
+    /// Tombstones one record ([`WriteOp::Remove`]) as its own epoch, and
+    /// tells whether this call tombstoned a live record (`false` when the id
+    /// was already removed). Decided under the writer lock, so of several
+    /// concurrent removals of one id exactly one sees `true`.
+    pub fn remove(&self, id: RecordId) -> Result<(Arc<EpochState>, bool)> {
+        let mut writer = self.lock_writer();
+        let removed_before = writer.head.num_removed();
+        let state = self.apply_locked(&mut writer, vec![WriteOp::Remove(id)])?;
+        Ok((state, writer.head.num_removed() > removed_before))
     }
 
     /// Wraps probe values in a [`Record`] against the given epoch: the probe
@@ -590,22 +581,15 @@ impl CandidateService {
         Record::new(state.view().next_record_id(), Arc::clone(&self.schema), values).map_err(ServeError::from)
     }
 
-    /// Persists the current index state (shards, tombstones, counters,
-    /// record log) as a versioned, checksummed snapshot file. Taken under
-    /// the writer lock, so the snapshot is a real epoch boundary.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let writer = self.lock_writer();
-        persist::save_to_path(path, &self.name, &self.schema, &writer.head.dump(), &writer.store)
-    }
-
-    /// Restores a service from a snapshot file written by
-    /// [`CandidateService::save`]. The caller supplies a freshly built
+    /// Restores an in-memory service from a checkpoint snapshot
+    /// (`snap-*.snap` in a WAL directory, written by
+    /// [`CandidateService::checkpoint`]). The caller supplies a freshly built
     /// (empty) blocker of the *same configuration* and the expected schema;
     /// fingerprint or schema disagreement is a typed error
     /// ([`ServeError::ConfigMismatch`] / [`ServeError::SchemaMismatch`]),
     /// as is any corruption of the file. The restored service is
-    /// byte-identical to the saved one: same snapshots, same query results,
-    /// same behaviour under every future write sequence.
+    /// byte-identical to the checkpointed one: same snapshots, same query
+    /// results, same behaviour under every future write sequence.
     pub fn load(head: IncrementalSaLshBlocker, schema: Arc<Schema>, path: &Path) -> Result<Self> {
         if head.num_records() != 0 {
             return Err(ServeError::Protocol(
@@ -691,7 +675,8 @@ mod tests {
         assert_eq!(first.view().num_records(), 2);
         assert_eq!(service.current().epoch(), 1);
 
-        let second = service.remove(RecordId(1)).unwrap();
+        let (second, tombstoned) = service.remove(RecordId(1)).unwrap();
+        assert!(tombstoned, "the first removal tombstones a live record");
         assert_eq!(second.epoch(), 2);
         assert_eq!(second.view().num_live_records(), 1);
         // The earlier epochs still render their own state.
@@ -699,9 +684,13 @@ mod tests {
         assert_eq!(initial.view().num_records(), 0);
         assert_eq!(first.record(RecordId(1)).unwrap().value("title"), Some("a theory of record linkage"));
 
-        // Removing an unknown id errors but still publishes (a no-op epoch).
+        // Removing it again is a no-op epoch that tombstones nothing...
+        let (third, tombstoned) = service.remove(RecordId(1)).unwrap();
+        assert!(!tombstoned, "a repeated removal finds no live record");
+        assert_eq!(third.epoch(), 3);
+        // ...and removing an unknown id errors but still publishes.
         assert!(service.remove(RecordId(99)).is_err());
-        assert_eq!(service.current().epoch(), 3);
+        assert_eq!(service.current().epoch(), 4);
         assert_eq!(service.current().snapshot().blocks(), second.snapshot().blocks());
     }
 
@@ -730,10 +719,6 @@ mod tests {
         assert!(ranked[0].1 > 0.8);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "scores are descending");
         assert_eq!(state.query_top_k(&probe, 1).unwrap().len(), 1);
-
-        // Service-level conveniences hit the current epoch.
-        assert_eq!(service.query(&probe).unwrap(), candidates);
-        assert_eq!(service.query_top_k(&probe, 10).unwrap(), ranked);
 
         // An empty probe matches nothing; a wrong-schema probe errors.
         let empty = service.probe_record(&state, row("")).unwrap();

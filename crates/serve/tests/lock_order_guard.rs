@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use sablock_core::prelude::SaLshBlocker;
 use sablock_datasets::{Record, RecordId, Schema};
-use sablock_serve::CandidateService;
+use sablock_serve::{CandidateService, WriteOp};
 
 fn service() -> CandidateService {
     let schema = Schema::shared(["title"]).expect("valid schema");
@@ -42,7 +42,7 @@ fn canonical_order_never_trips() {
             .map(|i| record(&service, round * 8 + i, &format!("record {round} {i}")))
             .collect();
         // Writer path: mutex first, epoch RwLock second (inside publish).
-        let epoch = service.insert_batch(batch).expect("insert publishes an epoch");
+        let epoch = service.apply(vec![WriteOp::Insert(batch)]).expect("insert publishes an epoch");
         // Reader path: epoch guard alone, then lock-free queries.
         let probe = service
             .probe_record(&epoch, vec![Some(format!("record {round} 0"))])

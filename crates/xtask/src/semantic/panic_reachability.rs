@@ -2,8 +2,10 @@
 //! `sablock_serve` request entry point.
 //!
 //! Entry points are the service's request surfaces: `handle_line` /
-//! `handle_line_with` (protocol dispatch), the reader `query*` methods, and
-//! the front-end connection loop (`serve_tcp`, `serve_connection`, `shed`).
+//! `handle_line_with` (protocol dispatch), the session loop both transports
+//! share (`serve_session`; the stdin path reaches it from the binary's
+//! `run`, which is not an entry point), the reader `query*` methods, and the
+//! front-end (`serve_tcp`, `serve_connection`, `shed`).
 //! From those, the rule walks the resolved call graph and reports every
 //! panic site — `panic!`-family macros, `.unwrap()` / `.expect(…)`, and (in
 //! `crates/serve` only) `x[i]` indexing — together with one shortest call
@@ -21,7 +23,8 @@ use super::FileFinding;
 use crate::engine::Finding;
 
 /// Entry-point names (exact) within `crates/serve/src/`.
-const ENTRY_NAMES: &[&str] = &["handle_line", "handle_line_with", "serve_tcp", "serve_connection", "shed"];
+const ENTRY_NAMES: &[&str] =
+    &["handle_line", "handle_line_with", "serve_session", "serve_tcp", "serve_connection", "shed"];
 
 /// Whether a node is a request entry point.
 fn is_entry(model: &Model, graph: &CallGraph, node: usize) -> bool {

@@ -10,11 +10,12 @@
 //! `--features sablock_core/check-invariants`, arming the runtime sanitizer
 //! under these same interleavings.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sablock::core::parallel::join_all;
 use sablock::core::lsh::salsh::SaLshBlockerBuilder;
 use sablock::prelude::*;
+use sablock::serve::protocol::handle_line;
 use sablock::serve::{FailpointPlan, FsyncPolicy, WalOptions};
 
 fn builder() -> SaLshBlockerBuilder {
@@ -203,6 +204,44 @@ fn concurrent_reads_always_match_a_published_epoch_replay() {
     }
     assert_eq!(final_state.view().snapshot().blocks(), mirror.snapshot().blocks());
     assert_eq!(final_state.view().running_counts(), mirror.running_counts());
+}
+
+/// Concurrent `REMOVE`s of the same ids over the protocol: the writer lock
+/// decides which request tombstoned the live record, so each id gets
+/// exactly one `OK removed` and every other reply is `OK absent`. A barrier
+/// lines the workers up before each id, so they race on the same record.
+#[test]
+fn concurrent_removes_answer_removed_exactly_once_per_id() {
+    const IDS: usize = 64;
+    const WORKERS: usize = 4;
+    let service = CandidateService::new(builder().into_incremental().unwrap(), schema()).unwrap();
+    service.insert_rows((0..IDS).map(row).collect()).unwrap();
+
+    let (service_ref, barrier) = (&service, &Barrier::new(WORKERS));
+    type Task<'scope> = Box<dyn FnOnce() -> Vec<String> + Send + 'scope>;
+    let tasks: Vec<Task> = (0..WORKERS)
+        .map(|_| -> Task {
+            Box::new(move || {
+                (0..IDS)
+                    .map(|id| {
+                        barrier.wait();
+                        handle_line(service_ref, &format!("REMOVE\t{id}")).reply().to_string()
+                    })
+                    .collect()
+            })
+        })
+        .collect();
+    let replies: Vec<String> = join_all(tasks).into_iter().flatten().collect();
+    assert_eq!(replies.len(), IDS * WORKERS);
+    for id in 0..IDS {
+        let count = |word: &str| {
+            let prefix = format!("OK {word} {id} epoch ");
+            replies.iter().filter(|reply| reply.starts_with(&prefix)).count()
+        };
+        assert_eq!(count("removed"), 1, "id {id}: exactly one request tombstones it");
+        assert_eq!(count("absent"), WORKERS - 1, "id {id}: every other request finds it gone");
+    }
+    assert_eq!(service.current().view().num_live_records(), 0);
 }
 
 /// The durable variant of the harness: the same scripted load runs against

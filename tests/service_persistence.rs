@@ -1,17 +1,20 @@
 //! Snapshot persistence round-trips and corruption handling for the serve
-//! layer: `save → load → save` must be **byte-identical**, a loaded service
-//! must behave exactly like the original under further writes, and every
+//! layer. Snapshots are the checkpoints a durable service writes into its
+//! WAL directory: `checkpoint → recover → checkpoint` must be
+//! **byte-identical**, a service recovered or loaded from a checkpoint must
+//! behave exactly like the original under further writes, and every
 //! flavour of damaged file — truncation at any offset, a bit flip at any
-//! offset, a wrong magic/version — must come back as a typed [`ServeError`],
-//! never a panic and never a silently-wrong index.
+//! offset, a wrong magic/version — must come back as a typed
+//! [`ServeError`], never a panic and never a silently-wrong index.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sablock::core::lsh::salsh::SaLshBlockerBuilder;
 use sablock::core::semantic::semhash::SemhashFamily;
 use sablock::prelude::*;
-use sablock::serve::persist;
+use sablock::serve::wal::snapshot_path;
+use sablock::serve::{persist, FsyncPolicy, RecoveryReport, WalOptions};
 
 fn lsh_builder() -> SaLshBlockerBuilder {
     SaLshBlocker::builder().attributes(["title", "authors"]).qgram(3).rows_per_band(2).bands(8).seed(0xB10C)
@@ -34,11 +37,34 @@ fn schema() -> Arc<Schema> {
     Schema::shared(["title", "authors"]).unwrap()
 }
 
-/// A populated service with history: three insert batches, two removals, a
-/// missing value and a duplicate-ish pair, so the snapshot carries
+/// A WAL directory under the temp dir, removed with everything in it on
+/// drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("sablock-serve-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn open_durable(builder: SaLshBlockerBuilder, dir: &Path) -> (CandidateService, RecoveryReport) {
+    let options = WalOptions { fsync: FsyncPolicy::Never, ..WalOptions::default() };
+    CandidateService::open_durable(builder.into_incremental().unwrap(), schema(), dir, options).unwrap()
+}
+
+/// A durable service with history: three insert batches, two removals, a
+/// missing value and a duplicate-ish pair, so its checkpoint carries
 /// tombstones, multi-member buckets and `None` attributes.
-fn populated_service(builder: SaLshBlockerBuilder) -> CandidateService {
-    let service = CandidateService::new(builder.into_incremental().unwrap(), schema()).unwrap();
+fn populated_service(builder: SaLshBlockerBuilder, dir: &Path) -> CandidateService {
+    let (service, _) = open_durable(builder, dir);
     service
         .insert_rows(vec![
             vec![Some("a theory for record linkage".into()), Some("fellegi".into())],
@@ -58,66 +84,76 @@ fn populated_service(builder: SaLshBlockerBuilder) -> CandidateService {
     service
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sablock-serve-test-{}-{tag}.snap", std::process::id()))
+/// Checkpoints a durable service opened on `dir`; returns the snapshot's
+/// path and bytes.
+fn checkpoint(service: &CandidateService, dir: &Path) -> (PathBuf, Vec<u8>) {
+    let path = snapshot_path(dir, service.checkpoint().unwrap());
+    let bytes = std::fs::read(&path).unwrap();
+    (path, bytes)
 }
 
-struct TempFile(PathBuf);
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+/// Two published states hold the same index and the same stored rows.
+fn assert_same_state(context: &str, restored: &EpochState, original: &EpochState) {
+    assert_eq!(restored.view().snapshot().blocks(), original.view().snapshot().blocks(), "{context}");
+    assert_eq!(restored.view().running_counts(), original.view().running_counts(), "{context}");
+    assert_eq!(restored.view().num_records(), original.view().num_records(), "{context}");
+    assert_eq!(restored.view().num_live_records(), original.view().num_live_records(), "{context}");
+    for index in 0..original.view().num_records() {
+        let id = RecordId(u32::try_from(index).unwrap());
+        assert_eq!(restored.view().is_live(id), original.view().is_live(id), "{context}: liveness of {index}");
+        assert_eq!(
+            restored.record(id).map(Record::values),
+            original.record(id).map(Record::values),
+            "{context}: stored row {index} must round-trip"
+        );
     }
 }
 
 #[test]
-fn save_load_save_is_byte_identical_and_behaviour_preserving() {
+fn checkpoint_recover_checkpoint_is_byte_identical_and_behaviour_preserving() {
     for (tag, builder) in [("lsh", lsh_builder as fn() -> SaLshBlockerBuilder), ("salsh", salsh_builder)] {
-        let original = populated_service(builder());
-        let first = TempFile(temp_path(&format!("{tag}-first")));
-        let second = TempFile(temp_path(&format!("{tag}-second")));
-        original.save(&first.0).unwrap();
+        let source = TempDir::new(&format!("{tag}-source"));
+        let original = populated_service(builder(), &source.0);
+        let (snapshot, first) = checkpoint(&original, &source.0);
 
-        let loaded = CandidateService::load(builder().into_incremental().unwrap(), schema(), &first.0).unwrap();
-        loaded.save(&second.0).unwrap();
-        let first_bytes = std::fs::read(&first.0).unwrap();
-        let second_bytes = std::fs::read(&second.0).unwrap();
-        assert_eq!(first_bytes, second_bytes, "{tag}: save → load → save must be byte-identical");
+        // A directory holding only that checkpoint recovers it, and
+        // checkpointing the recovered service rewrites the same bytes.
+        let copy = TempDir::new(&format!("{tag}-copy"));
+        std::fs::create_dir_all(&copy.0).unwrap();
+        std::fs::write(copy.0.join(snapshot.file_name().unwrap()), &first).unwrap();
+        let (recovered, report) = open_durable(builder(), &copy.0);
+        assert_eq!(report.snapshot_ops, original.current().epoch(), "{tag}: the checkpoint was adopted");
+        assert_eq!(report.replayed_records, 0, "{tag}: nothing past the checkpoint to replay");
+        let (_, second) = checkpoint(&recovered, &copy.0);
+        assert_eq!(first, second, "{tag}: checkpoint → recover → checkpoint must be byte-identical");
 
-        // The published state round-tripped wholesale.
-        let original_state = original.current();
-        let loaded_state = loaded.current();
-        assert_eq!(loaded_state.view().snapshot().blocks(), original_state.view().snapshot().blocks());
-        assert_eq!(loaded_state.view().running_counts(), original_state.view().running_counts());
-        assert_eq!(loaded_state.view().num_records(), original_state.view().num_records());
-        assert_eq!(loaded_state.view().num_live_records(), original_state.view().num_live_records());
-        for index in 0..original_state.view().num_records() {
-            let id = RecordId(u32::try_from(index).unwrap());
-            assert_eq!(loaded_state.view().is_live(id), original_state.view().is_live(id));
-            assert_eq!(
-                loaded_state.record(id).map(Record::values),
-                original_state.record(id).map(Record::values),
-                "{tag}: stored row {index} must round-trip"
-            );
-        }
+        // The same file also loads as an in-memory service.
+        let loaded = CandidateService::load(builder().into_incremental().unwrap(), schema(), &snapshot).unwrap();
 
-        // And the future is identical too: the same writes land the same.
+        // The published state round-tripped wholesale, and the future is
+        // identical too: the same writes land the same.
+        let before = original.current();
         let next = vec![vec![Some("a theory of record linkage".into()), Some("winkler".into())]];
         let after_original = original.insert_rows(next.clone()).unwrap();
-        let after_loaded = loaded.insert_rows(next).unwrap();
-        assert_eq!(after_loaded.view().snapshot().blocks(), after_original.view().snapshot().blocks());
-        assert_eq!(after_loaded.view().running_counts(), after_original.view().running_counts());
-        let removed_original = original.remove(RecordId(1)).unwrap();
-        let removed_loaded = loaded.remove(RecordId(1)).unwrap();
-        assert_eq!(removed_loaded.view().snapshot().blocks(), removed_original.view().snapshot().blocks());
+        let (removed_original, tombstoned_original) = original.remove(RecordId(1)).unwrap();
+        for (how, restored) in [("recovered", &recovered), ("loaded", &loaded)] {
+            let context = format!("{tag}, {how}");
+            assert_same_state(&context, &restored.current(), &before);
+            let after_restored = restored.insert_rows(next.clone()).unwrap();
+            assert_same_state(&context, &after_restored, &after_original);
+            let (removed_restored, tombstoned_restored) = restored.remove(RecordId(1)).unwrap();
+            assert_eq!(tombstoned_restored, tombstoned_original, "{context}");
+            assert_same_state(&context, &removed_restored, &removed_original);
+        }
     }
 }
 
 #[test]
 fn corrupted_snapshots_fail_typed_and_never_panic() {
-    let service = populated_service(lsh_builder());
-    let file = TempFile(temp_path("corrupt"));
-    service.save(&file.0).unwrap();
-    let good = std::fs::read(&file.0).unwrap();
+    let dir = TempDir::new("corrupt");
+    let service = populated_service(lsh_builder(), &dir.0);
+    let (_, good) = checkpoint(&service, &dir.0);
+    let file = dir.0.join("damaged.snap");
     let fresh = || lsh_builder().into_incremental().unwrap();
 
     // Sanity: the untouched bytes parse.
@@ -156,14 +192,14 @@ fn corrupted_snapshots_fail_typed_and_never_panic() {
     );
 
     // Loading through the service surfaces the same typed errors.
-    std::fs::write(&file.0, &good[..good.len() / 2]).unwrap();
-    assert!(CandidateService::load(fresh(), schema(), &file.0).is_err());
-    let missing = temp_path("never-written");
+    std::fs::write(&file, &good[..good.len() / 2]).unwrap();
+    assert!(CandidateService::load(fresh(), schema(), &file).is_err());
+    let missing = dir.0.join("never-written.snap");
     assert!(matches!(CandidateService::load(fresh(), schema(), &missing), Err(ServeError::Io(_))));
 
     // Config/schema mismatches are their own variants: same bytes, wrong
     // head or wrong schema.
-    std::fs::write(&file.0, &good).unwrap();
+    std::fs::write(&file, &good).unwrap();
     let other_head = SaLshBlocker::builder()
         .attributes(["title"])
         .qgram(2)
@@ -173,12 +209,12 @@ fn corrupted_snapshots_fail_typed_and_never_panic() {
         .into_incremental()
         .unwrap();
     assert!(matches!(
-        CandidateService::load(other_head, schema(), &file.0),
+        CandidateService::load(other_head, schema(), &file),
         Err(ServeError::ConfigMismatch { .. })
     ));
     let other_schema = Schema::shared(["title", "authors", "venue"]).unwrap();
     assert!(matches!(
-        CandidateService::load(fresh(), other_schema, &file.0),
+        CandidateService::load(fresh(), other_schema, &file),
         Err(ServeError::SchemaMismatch { .. })
     ));
 }
