@@ -85,3 +85,47 @@ fn cora_pair_counts_are_pinned() {
     }
     assert!(failures.is_empty(), "golden Cora counts shifted:\n{}", failures.join("\n"));
 }
+
+/// FNV-1a-64 continued from `hash` over `bytes`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// An order-sensitive digest of a blocking: FNV-1a-64 over every block's
+/// key bytes, a `0xFF` separator and its member ids as u32 little-endian,
+/// block by block in order; plus the block and member counts.
+fn blocks_digest(blocks: &BlockCollection) -> (u64, usize, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut members = 0usize;
+    for block in blocks.blocks() {
+        hash = fnv1a(hash, block.key().as_bytes());
+        hash = fnv1a(hash, &[0xFF]);
+        for member in block.members() {
+            hash = fnv1a(hash, &member.0.to_le_bytes());
+        }
+        members += block.len();
+    }
+    (hash, blocks.num_blocks(), members)
+}
+
+/// The LSH and SA-LSH golden blockings pinned byte for byte: block keys,
+/// block order and members. Pair counts alone cannot see a change to the
+/// key format or the block order, and one-shot ≡ incremental comparisons
+/// cannot see one that both sides share. The SA-LSH blocker derives its
+/// semhash family from the data, so it also pins the unpinned-family path.
+#[test]
+fn cora_lsh_blocks_are_pinned_byte_for_byte() {
+    let dataset = cora_dataset(Scale::Quick).unwrap();
+    let expected: [(&str, (u64, usize, usize)); 2] = [
+        ("LSH", (0x94a5_9eaf_622b_1544, 3_654, 12_039)),
+        ("SA-LSH", (0x5e10_dbd2_e172_9795, 7_392, 22_328)),
+    ];
+    for ((name, blocker), (golden_name, golden)) in golden_blockers().into_iter().zip(expected) {
+        assert_eq!(name, golden_name, "technique order matches the golden digests");
+        let (hash, blocks, members) = blocks_digest(&blocker.block(&dataset).unwrap());
+        println!("    (\"{name}\", ({hash:#018x}, {blocks}, {members})),");
+        assert_eq!((hash, blocks, members), golden, "{name}: blocks digest shifted");
+    }
+}
