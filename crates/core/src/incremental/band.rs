@@ -15,16 +15,14 @@ use std::sync::Arc;
 use sablock_datasets::RecordId;
 use sablock_textual::hashing::StableHashMap;
 
+use crate::lsh::buckets::BucketKey;
+
 /// log2 of the number of sub-maps per band. At 256 sub-maps the benchmark
 /// profiles (about 2.4k buckets per band) hold about 10 buckets per sub-map.
 const SUB_MAP_BITS: u32 = 8;
 
 /// Number of copy-on-write sub-maps per band.
 const SUB_MAPS: usize = 1 << SUB_MAP_BITS;
-
-/// A bucket's key: `(textual bucket key, semantic sub-key)`. Plain LSH
-/// stores everything under sub-key 0.
-pub(super) type BucketKey = (u64, u64);
 
 /// One bucket of a band: members in ascending id order (tombstoned members
 /// linger until compaction) plus the count of members currently tombstoned.

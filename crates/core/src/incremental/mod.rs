@@ -25,9 +25,9 @@
 //! involve at least one new record — enumerable from the touched buckets
 //! alone. Deltas are carried as sorted, deduplicated packed-`u64` runs
 //! ([`RecordPair::pack`]), the same representation every bulk pair path of
-//! [`crate::blocking`] runs on; the runs are merged into the delta's
-//! distinct-key cache **once per generation** (during the ingest fold that
-//! updates the running counters), so [`DeltaPairs::counts`] and
+//! [`crate::blocking`] runs on, one run per band. The ingest fold that
+//! updates the running counters merges the runs into the delta's distinct
+//! keys in the same pass, **once per batch**, so [`DeltaPairs::counts`] and
 //! [`DeltaPairs::num_pairs`] never re-scan the redundant runs. Absent
 //! removals, deltas of successive batches are **disjoint**: summing
 //! per-batch [`PairCounts`] equals a from-scratch count of the merged whole,
@@ -83,61 +83,34 @@ pub use state::{BucketDump, IndexDump};
 pub use view::IndexView;
 
 use std::sync::Arc;
-use std::sync::OnceLock;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::record::RecordPair;
 use sablock_datasets::{DatasetError, Record, RecordId, Schema, MAX_RECORD_ID};
 
 use crate::blocking::{
-    merge_packed_runs_into, radix_sort_packed, Block, BlockCollection, EntityTableProbe, PackedProbe, PairCounts,
+    merge_packed_runs_into, radix_sort_packed, BlockCollection, EntityTableProbe, PackedProbe, PairCounts,
 };
 use crate::error::{CoreError, Result};
-use crate::lsh::semantic_hash::WWaySemanticHash;
+use crate::lsh::buckets::{key_runs, BucketKey, BucketScheme};
 use crate::lsh::{BandingScheme, SemanticConfig};
 use crate::minhash::shingle::RecordShingler;
 use crate::minhash::{MinHasher, MinhashConfig};
 use crate::parallel::{parallel_map, parallel_map_mut, resolve_threads};
 use crate::semantic::semhash::SemhashFamily;
 
-use band::{BandIndex, Bucket, BucketKey};
+use band::{BandIndex, Bucket};
 
 /// The candidate pairs one ingest batch added to Γ, as sorted and
 /// individually deduplicated packed-`u64` runs (one run per band; a pair
-/// colliding in several bands appears in several runs), plus a lazily
-/// materialised cache of the **distinct** keys across all runs.
-///
-/// The cache is populated exactly once per delta generation — by the ingest
-/// fold that maintains the blocker's [`RunningCounts`], or on the first
-/// counting call for hand-built deltas — so repeated [`DeltaPairs::counts`]
-/// / [`DeltaPairs::num_pairs`] calls never re-merge the redundant runs.
-#[derive(Debug, Default)]
+/// colliding in several bands appears in several runs), plus the
+/// **distinct** keys across all runs, which the ingest fold that maintains
+/// the blocker's [`RunningCounts`] merges in the same pass.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaPairs {
     runs: Vec<Vec<u64>>,
-    merged: OnceLock<Vec<u64>>,
+    distinct: Vec<u64>,
 }
-
-impl Clone for DeltaPairs {
-    fn clone(&self) -> Self {
-        let merged = OnceLock::new();
-        if let Some(cached) = self.merged.get() {
-            let _ = merged.set(cached.clone());
-        }
-        Self { runs: self.runs.clone(), merged }
-    }
-}
-
-impl PartialEq for DeltaPairs {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state: two deltas are equal iff their runs are.
-        self.runs == other.runs
-    }
-}
-
-impl Eq for DeltaPairs {}
 
 impl DeltaPairs {
     /// A delta with no pairs.
@@ -145,19 +118,9 @@ impl DeltaPairs {
         Self::default()
     }
 
-    pub(crate) fn from_runs(runs: Vec<Vec<u64>>) -> Self {
-        Self {
-            runs: runs.into_iter().filter(|run| !run.is_empty()).collect(),
-            merged: OnceLock::new(),
-        }
-    }
-
-    /// A delta whose distinct keys were already merged (the ingest fold
-    /// counts the runs while producing them, so the cache comes for free).
-    pub(crate) fn from_counted_runs(runs: Vec<Vec<u64>>, merged: Vec<u64>) -> Self {
-        let delta = Self::from_runs(runs);
-        let _ = delta.merged.set(merged);
-        delta
+    /// A delta from its per-band runs and their merged distinct keys.
+    fn new(runs: Vec<Vec<u64>>, distinct: Vec<u64>) -> Self {
+        Self { runs: runs.into_iter().filter(|run| !run.is_empty()).collect(), distinct }
     }
 
     /// The sorted, deduplicated packed runs.
@@ -170,49 +133,34 @@ impl DeltaPairs {
         self.runs.is_empty()
     }
 
-    /// The delta's distinct packed pair keys in ascending order. Merged from
-    /// the redundant per-band runs at most once per delta generation (the
-    /// loser-tree/galloping merge of [`crate::blocking`]) and cached.
+    /// The delta's distinct packed pair keys in ascending order.
     pub fn distinct_packed(&self) -> &[u64] {
-        self.merged.get_or_init(|| {
-            let mut merged: Vec<u64> = Vec::with_capacity(self.runs.iter().map(Vec::len).sum());
-            merge_packed_runs_into(&self.runs, |segment| merged.extend_from_slice(segment));
-            merged
-        })
-    }
-
-    /// Whether the distinct-key cache is populated. Deltas returned by
-    /// [`IncrementalBlocker::insert_batch`] always are; a hand-built delta
-    /// becomes counted on its first [`DeltaPairs::counts`] /
-    /// [`DeltaPairs::num_pairs`] / [`DeltaPairs::pairs`] call.
-    pub fn is_counted(&self) -> bool {
-        self.merged.get().is_some()
+        &self.distinct
     }
 
     /// Counts the delta's distinct pairs, probing each **exactly once** over
-    /// the cached distinct-key run — repeated calls never re-scan the
-    /// redundant per-band runs (regression-tested in this module).
+    /// the distinct keys — never over the redundant per-band runs
+    /// (regression-tested in this module).
     pub fn counts<P: PackedProbe>(&self, probe: &P) -> PairCounts {
-        let distinct = self.distinct_packed();
         let mut matching = 0u64;
-        for &key in distinct {
+        for &key in &self.distinct {
             if probe.matches(key) {
                 matching += 1;
             }
         }
-        PairCounts { distinct: distinct.len() as u64, matching }
+        PairCounts { distinct: self.num_pairs(), matching }
     }
 
-    /// Number of distinct pairs in the delta — O(1) once counted.
+    /// Number of distinct pairs in the delta — O(1).
     pub fn num_pairs(&self) -> u64 {
-        self.distinct_packed().len() as u64
+        self.distinct.len() as u64
     }
 
     /// Materialises the delta's distinct pairs in ascending order (tests,
     /// goldens, small deltas — bulk consumers should stay on the packed
     /// runs).
     pub fn pairs(&self) -> Vec<RecordPair> {
-        self.distinct_packed().iter().copied().map(RecordPair::from_packed).collect()
+        self.distinct.iter().copied().map(RecordPair::from_packed).collect()
     }
 }
 
@@ -280,16 +228,6 @@ pub trait IncrementalBlocker {
     fn snapshot(&self) -> BlockCollection;
 }
 
-/// The pinned semantic state of an incremental SA-LSH index: family and
-/// per-band w-way hash functions are fixed at construction, so a record's
-/// sub-block keys never change after ingestion.
-#[derive(Debug, Clone)]
-struct IncrementalSemantic {
-    config: SemanticConfig,
-    family: SemhashFamily,
-    band_hashes: Vec<WWaySemanticHash>,
-}
-
 /// A back-reference from a record to one bucket it occupies — the removal
 /// path enumerates exactly these instead of scanning the index.
 #[derive(Debug, Clone, Copy)]
@@ -322,16 +260,17 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 /// The index is one bucket index per band, keyed by
 /// `(textual bucket key, semantic sub-key)` — plain LSH uses a constant
 /// sub-key of 0 — with members kept in ascending id order (batches arrive in
-/// id order and append). Sorting each band's keys and walking the bands in
-/// band order reproduces exactly the deterministic band-order merge of the
-/// one-shot sharded bucket phase.
+/// id order and append). Records land through the same bucket scheme as
+/// one-shot blocking, so sorting each band's keys and walking the bands in
+/// band order reproduces exactly the one-shot blocks, in the same order.
 #[derive(Debug, Clone)]
 pub struct IncrementalSaLshBlocker {
     shingler: RecordShingler,
     minhash: MinhashConfig,
-    banding: BandingScheme,
     hasher: MinHasher,
-    semantic: Option<IncrementalSemantic>,
+    /// Where records land. For SA-LSH its family is fixed at construction,
+    /// so a record's bucket keys never change after ingestion.
+    scheme: BucketScheme,
     bands: Vec<Arc<BandIndex>>,
     /// Per-record bucket back-references; emptied when the record is
     /// tombstoned (a dead record's buckets are never walked again).
@@ -375,24 +314,20 @@ impl IncrementalSaLshBlocker {
                     Some(family) => family.clone(),
                     None => SemhashFamily::from_all_leaves(&config.taxonomy)?,
                 };
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                let band_hashes = (0..banding.bands())
-                    .map(|_| WWaySemanticHash::sample(family.len(), config.w, config.mode, &mut rng))
-                    .collect::<Result<Vec<_>>>()?;
-                Some(IncrementalSemantic { config, family, band_hashes })
+                Some((config, family))
             }
             None => None,
         };
+        let scheme = BucketScheme::new(banding, semantic)?;
         let hasher = MinHasher::from_config(&minhash);
         // One Arc per band — `vec![Arc::new(..); n]` would alias a single
         // allocation across all bands.
-        let bands = (0..banding.bands()).map(|_| Arc::new(BandIndex::default())).collect();
+        let bands = (0..scheme.bands()).map(|_| Arc::new(BandIndex::default())).collect();
         Ok(Self {
             shingler,
             minhash,
-            banding,
             hasher,
-            semantic,
+            scheme,
             bands,
             bucket_refs: Vec::new(),
             entity_of: Vec::new(),
@@ -493,7 +428,7 @@ impl IncrementalSaLshBlocker {
     /// The semhash family the semantic component is pinned to, if any —
     /// pin the same family on a one-shot blocker to compare byte-for-byte.
     pub fn pinned_family(&self) -> Option<&SemhashFamily> {
-        self.semantic.as_ref().map(|s| &s.family)
+        self.scheme.family()
     }
 
     /// Publishes an immutable [`IndexView`] of the current index state.
@@ -517,15 +452,7 @@ impl IncrementalSaLshBlocker {
     /// equivalence contract; this is the same lookup run directly on the
     /// mutable head.
     pub fn query_candidates(&self, record: &Record) -> Result<Vec<RecordId>> {
-        view::probe_candidates(
-            &self.shingler,
-            &self.hasher,
-            &self.banding,
-            self.semantic.as_ref(),
-            &self.bands,
-            &self.removed,
-            record,
-        )
+        view::probe_candidates(&self.shingler, &self.hasher, &self.scheme, &self.bands, &self.removed, record)
     }
 
     /// Convenience ingest from raw rows: wraps each row in a [`Record`] with
@@ -640,17 +567,8 @@ impl IncrementalSaLshBlocker {
         // Signatures of the new records only (`None`: no text) — the
         // existing index is never recomputed. Same parallel shape as the
         // one-shot pipeline.
-        let signatures = parallel_map(records, threads, |record| self.shingler.signature(&self.hasher, record));
-        let sem_signatures = match &self.semantic {
-            Some(semantic) => {
-                let function = &semantic.config.function;
-                let interpretations = parallel_map(records, threads, |record| function.interpret(record));
-                Some(parallel_map(&interpretations, threads, |interp| {
-                    semantic.family.signature(&semantic.config.taxonomy, interp)
-                }))
-            }
-            None => None,
-        };
+        let minhashes = parallel_map(records, threads, |record| self.shingler.signature(&self.hasher, record));
+        let semhashes = self.scheme.semhashes(records, threads);
 
         // The entity table must cover the new ids before the counting fold
         // below probes the delta pairs.
@@ -664,29 +582,13 @@ impl IncrementalSaLshBlocker {
         // band order so every derived structure is deterministic for any
         // worker count.
         let removed: &[bool] = &self.removed;
-        let banding = &self.banding;
-        let semantic = &self.semantic;
+        let scheme = &self.scheme;
         let mut shards: Vec<(usize, &mut Arc<BandIndex>)> = self.bands.iter_mut().enumerate().collect();
         let outcomes: Vec<BandOutcome> = parallel_map_mut(&mut shards, threads, |(band, index)| {
-            let band = *band;
-            let mut slots: Vec<(BucketKey, RecordId)> = Vec::new();
-            for (offset, signature) in signatures.iter().enumerate() {
-                let Some(signature) = signature else { continue };
-                let id = records[offset].id();
-                let bucket = banding.band_key(signature, band);
-                match (semantic, &sem_signatures) {
-                    (Some(semantic), Some(sems)) => {
-                        for sub in semantic.band_hashes[band].sub_keys(&sems[offset]) {
-                            slots.push(((bucket, sub as u64), id)); // sablock-lint: allow(lossy-id-cast): usize sub-key index → u64 widens losslessly
-                        }
-                    }
-                    _ => slots.push(((bucket, 0), id)),
-                }
-            }
-            // Group placements by bucket key; ids stay ascending within a
-            // key (the batch arrives in id order and the sort key ends on
-            // the id).
-            slots.sort_unstable();
+            // Placements grouped by bucket key, ids ascending within a key
+            // (the batch arrives in id order and the sort key ends on the
+            // id).
+            let slots = scheme.placements(*band, records, &minhashes, semhashes.as_deref());
 
             // Delta pairs of this band: existing live members × new members,
             // plus the new-member pairs, per touched bucket. Old ids are all
@@ -698,14 +600,8 @@ impl IncrementalSaLshBlocker {
             let index = Arc::make_mut(index);
             let mut delta_run: Vec<u64> = Vec::new();
             let mut cow_copies = 0u64;
-            let mut start = 0usize;
-            while start < slots.len() {
-                let key = slots[start].0;
-                let mut end = start;
-                while end < slots.len() && slots[end].0 == key {
-                    end += 1;
-                }
-                let new_members = &slots[start..end];
+            for new_members in key_runs(&slots) {
+                let key = new_members[0].0;
                 let bucket = index.sub_map_mut(&key, &mut cow_copies).entry(key).or_default();
                 for &old in &bucket.members {
                     if removed[old.index()] {
@@ -721,7 +617,6 @@ impl IncrementalSaLshBlocker {
                     }
                 }
                 bucket.members.extend(new_members.iter().map(|&(_, id)| id));
-                start = end;
             }
             radix_sort_packed(&mut delta_run);
             delta_run.dedup();
@@ -751,8 +646,8 @@ impl IncrementalSaLshBlocker {
         }
 
         // Fold the delta into the running counters in the same single merge
-        // pass that materialises the delta's distinct-key cache — the merge
-        // over the redundant runs happens exactly once per batch.
+        // pass that collects the delta's distinct keys — the merge over the
+        // redundant runs happens exactly once per batch.
         let mut merged: Vec<u64> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
         let mut batch_counts = PairCounts::default();
         {
@@ -769,7 +664,7 @@ impl IncrementalSaLshBlocker {
         }
         self.running.pairs += batch_counts.distinct;
         self.running.true_positives += batch_counts.matching;
-        self.last_delta = DeltaPairs::from_counted_runs(runs, merged);
+        self.last_delta = DeltaPairs::new(runs, merged);
         self.batches_ingested += 1;
         #[cfg(feature = "check-invariants")]
         {
@@ -786,8 +681,8 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
             "k={},l={},q={}",
             self.minhash.rows_per_band, self.minhash.bands, self.minhash.qgram
         );
-        match &self.semantic {
-            Some(semantic) => format!("Incremental-SA-LSH({base},{})", semantic.config.describe()),
+        match self.scheme.semantic_config() {
+            Some(semantic) => format!("Incremental-SA-LSH({base},{})", semantic.describe()),
             None => format!("Incremental-LSH({base})"),
         }
     }
@@ -882,30 +777,21 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
     }
 
     fn snapshot(&self) -> BlockCollection {
-        snapshot_bands(&self.bands, &self.removed, self.semantic.is_some())
+        snapshot_bands(&self.scheme, &self.bands, &self.removed)
     }
 }
 
 /// Renders the per-band buckets as a [`BlockCollection`] — the shared
 /// implementation of [`IncrementalBlocker::snapshot`] and
 /// [`IndexView::snapshot`].
-fn snapshot_bands(bands: &[Arc<BandIndex>], removed: &[bool], semantic: bool) -> BlockCollection {
+fn snapshot_bands(scheme: &BucketScheme, bands: &[Arc<BandIndex>], removed: &[bool]) -> BlockCollection {
     let mut blocks = Vec::new();
     for (band, buckets) in bands.iter().enumerate() {
-        // The buckets live in hash maps for O(1) inserts; snapshot order is
-        // restored by sorting the keys, reproducing the ordered-map
-        // iteration of the one-shot bucket phase byte for byte.
-        for (&(bucket, sub), shard) in buckets.sorted() {
-            let live: Vec<RecordId> = shard.members.iter().copied().filter(|id| !removed[id.index()]).collect();
-            if live.len() < 2 {
-                continue;
-            }
-            let key = if semantic {
-                format!("b{band}:{bucket:016x}:g{sub}")
-            } else {
-                format!("b{band}:{bucket:016x}")
-            };
-            blocks.push(Block::new(key, live));
+        // The buckets live in hash maps for O(1) inserts; sorting the keys
+        // restores the key order of the one-shot placements byte for byte.
+        for (&key, bucket) in buckets.sorted() {
+            let live = bucket.members.iter().copied().filter(|id| !removed[id.index()]).collect();
+            blocks.extend(scheme.block(band, key, live));
         }
     }
     BlockCollection::from_blocks(blocks)
@@ -914,7 +800,7 @@ fn snapshot_bands(bands: &[Arc<BandIndex>], removed: &[bool], semantic: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::Blocker;
+    use crate::blocking::{Block, Blocker};
     use crate::lsh::salsh::SaLshBlocker;
     use crate::lsh::semantic_hash::SemanticMode;
     use crate::semantic::pattern::PatternSemanticFunction;
@@ -1166,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_counts_cache_avoids_rescanning_runs() {
+    fn ingested_deltas_probe_each_distinct_pair_once() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         struct CountingProbe(AtomicU64);
@@ -1177,36 +1063,22 @@ mod tests {
             }
         }
 
-        // Hand-built delta: 6 redundant run entries, 4 distinct pairs.
-        let pack = |a: u32, b: u32| RecordPair::pack_ascending(RecordId(a), RecordId(b));
-        let runs = vec![
-            vec![pack(0, 1), pack(0, 2), pack(1, 2)],
-            vec![pack(0, 1), pack(1, 2), pack(2, 3)],
-        ];
-        let delta = DeltaPairs::from_runs(runs);
-        assert!(!delta.is_counted(), "a hand-built delta starts uncounted");
-        assert_eq!(delta.num_pairs(), 4);
-        assert!(delta.is_counted(), "the first count materialises the distinct-key cache");
-
-        let probe = CountingProbe(AtomicU64::new(0));
-        let first = delta.counts(&probe);
-        assert_eq!(first.distinct, 4);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 4, "each distinct pair probed exactly once, not per run entry");
-        let second = delta.counts(&probe);
-        assert_eq!(second.distinct, first.distinct);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 8, "a second call probes the cache, never the runs");
-
-        // Clones carry the cache; equality ignores it.
-        let cloned = delta.clone();
-        assert!(cloned.is_counted());
-        assert_eq!(cloned, delta);
-        assert!(!DeltaPairs::from_runs(vec![vec![pack(0, 1)]]).is_counted());
-
-        // Deltas produced by ingest are pre-counted by the counting fold.
         let dataset = sample_dataset();
         let mut incremental = lsh_builder().into_incremental().unwrap();
-        incremental.insert_batch(dataset.records()).unwrap();
-        assert!(incremental.delta_pairs().is_counted(), "insert_batch pre-populates the cache");
+        let delta = incremental.insert_batch(dataset.records()).unwrap();
+        let run_entries: usize = delta.runs().iter().map(Vec::len).sum();
+        let distinct = delta.num_pairs();
+        assert!(
+            run_entries as u64 > distinct,
+            "the sample collides in several bands, so the runs repeat pairs"
+        );
+        assert_eq!(delta.distinct_packed().len() as u64, distinct);
+
+        let probe = CountingProbe(AtomicU64::new(0));
+        assert_eq!(delta.counts(&probe).distinct, distinct);
+        assert_eq!(probe.0.load(Ordering::Relaxed), distinct, "each distinct pair probed once, not per run entry");
+        delta.counts(&probe);
+        assert_eq!(probe.0.load(Ordering::Relaxed), 2 * distinct, "a second count never re-scans the runs");
     }
 
     #[test]

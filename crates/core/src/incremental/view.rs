@@ -19,9 +19,10 @@
 //! # Query/one-shot equivalence
 //!
 //! [`IndexView::candidates`] runs the probe record through *exactly* the
-//! ingest signature pipeline — same shingler, same minhash permutations,
-//! same pinned semhash family and per-band w-way functions — and unions the
-//! live members of every bucket the probe would land in. The result is
+//! ingest signature pipeline — same shingler, same minhash permutations —
+//! and the same bucket scheme as ingest and one-shot blocking (same pinned
+//! semhash family and per-band w-way functions), and unions the live
+//! members of every bucket the probe would land in. The result is
 //! therefore precisely the set of records one-shot
 //! [`SaLshBlocker::block`](crate::lsh::salsh::SaLshBlocker::block) over
 //! `corpus ∪ {probe}` would pair the probe with (property-tested in
@@ -35,11 +36,11 @@ use sablock_datasets::{Record, RecordId};
 
 use crate::blocking::BlockCollection;
 use crate::error::{CoreError, Result};
-use crate::lsh::BandingScheme;
+use crate::lsh::buckets::BucketScheme;
 use crate::minhash::shingle::RecordShingler;
 use crate::minhash::MinHasher;
 
-use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, IncrementalSemantic, RunningCounts};
+use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, RunningCounts};
 
 /// An immutable view of an [`IncrementalSaLshBlocker`] frozen at a
 /// publication point (see the module docs). Cloning a view shares the
@@ -49,8 +50,7 @@ pub struct IndexView {
     name: String,
     shingler: RecordShingler,
     hasher: MinHasher,
-    banding: BandingScheme,
-    semantic: Option<IncrementalSemantic>,
+    scheme: BucketScheme,
     bands: Vec<Arc<BandIndex>>,
     removed: Vec<bool>,
     entity_of: Vec<EntityId>,
@@ -69,8 +69,7 @@ impl IndexView {
             name: blocker.name(),
             shingler: blocker.shingler.clone(),
             hasher: blocker.hasher.clone(),
-            banding: blocker.banding,
-            semantic: blocker.semantic.clone(),
+            scheme: blocker.scheme.clone(),
             bands: blocker.bands.clone(),
             removed: blocker.removed.clone(),
             entity_of: blocker.entity_of.clone(),
@@ -95,21 +94,13 @@ impl IndexView {
     /// candidate). Equivalent to the probe's one-shot partner set; see the
     /// module docs.
     pub fn candidates(&self, record: &Record) -> Result<Vec<RecordId>> {
-        probe_candidates(
-            &self.shingler,
-            &self.hasher,
-            &self.banding,
-            self.semantic.as_ref(),
-            &self.bands,
-            &self.removed,
-            record,
-        )
+        probe_candidates(&self.shingler, &self.hasher, &self.scheme, &self.bands, &self.removed, record)
     }
 
     /// The view's blocking as a [`BlockCollection`] — byte-identical to the
     /// blocker's [`IncrementalBlocker::snapshot`] at the publication point.
     pub fn snapshot(&self) -> BlockCollection {
-        snapshot_bands(&self.bands, &self.removed, self.semantic.is_some())
+        snapshot_bands(&self.scheme, &self.bands, &self.removed)
     }
 
     /// The shingler the view's index was built with — what a service layer
@@ -178,8 +169,7 @@ impl IndexView {
 pub(super) fn probe_candidates(
     shingler: &RecordShingler,
     hasher: &MinHasher,
-    banding: &BandingScheme,
-    semantic: Option<&IncrementalSemantic>,
+    scheme: &BucketScheme,
     bands: &[Arc<BandIndex>],
     removed: &[bool],
     record: &Record,
@@ -191,42 +181,26 @@ pub(super) fn probe_candidates(
             )));
         }
     }
-    let Some(signature) = shingler.signature(hasher, record) else {
+    let Some(minhash) = shingler.signature(hasher, record) else {
         // Text-free records are never indexed, so they collide with nothing
         // — exactly like the ingest path skipping them.
         return Ok(Vec::new());
     };
-    let sem_signature = semantic.map(|semantic| {
-        let interpretation = semantic.config.function.interpret(record);
-        semantic.family.signature(&semantic.config.taxonomy, &interpretation)
-    });
+    let semhash = scheme.semhashes(std::slice::from_ref(record), 1);
+    let semhash = semhash.as_ref().and_then(|semhashes| semhashes.first());
     let mut candidates: Vec<RecordId> = Vec::new();
-    let mut collect = |bucket: &super::Bucket| {
-        candidates.extend(
-            bucket
-                .members
-                .iter()
-                .copied()
-                .filter(|member| *member != record.id() && !removed[member.index()]),
-        );
-    };
     for (band_index, band) in bands.iter().enumerate() {
-        let bucket_key = banding.band_key(&signature, band_index);
-        match (semantic, &sem_signature) {
-            (Some(semantic), Some(sem)) => {
-                for sub in semantic.band_hashes[band_index].sub_keys(sem) {
-                    let key = (bucket_key, sub as u64);
-                    if let Some(bucket) = band.get(&key) {
-                        collect(bucket);
-                    }
-                }
+        scheme.keys(band_index, &minhash, semhash, |key| {
+            if let Some(bucket) = band.get(&key) {
+                candidates.extend(
+                    bucket
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|member| *member != record.id() && !removed[member.index()]),
+                );
             }
-            _ => {
-                if let Some(bucket) = band.get(&(bucket_key, 0)) {
-                    collect(bucket);
-                }
-            }
-        }
+        });
     }
     candidates.sort_unstable();
     candidates.dedup();

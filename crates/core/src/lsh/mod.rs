@@ -1,6 +1,7 @@
 //! Locality-sensitive hashing: banding index, w-way semantic augmentation and
 //! the SA-LSH blocker (paper §5).
 
+pub(crate) mod buckets;
 pub mod probability;
 pub mod salsh;
 pub mod semantic_hash;

@@ -19,23 +19,24 @@
 //! as the "LSH" comparison point throughout the paper's evaluation
 //! ([`LshBlocker`] is an alias for that configuration).
 //!
+//! Where a record lands in steps 2 and 3 is decided by the crate's one
+//! bucket scheme (`lsh::buckets`), which incremental ingest, probe lookups
+//! and snapshots share: for SA-LSH, `block` builds it over the pinned
+//! semhash family or the one Algorithm 1 derives from the dataset.
+//!
 //! Both hot phases run in parallel on large datasets: signatures are
-//! computed per record and the banding/bucket phase is sharded per band
-//! (each band builds and sorts its own bucket map, and the shards are merged
-//! back in ascending band order). Every phase stitches results in a fixed
-//! order, so blocking output is byte-identical for any worker count — a
-//! property `tests/determinism.rs` enforces by diffing 1-thread and 4-thread
-//! runs.
+//! computed per record and the banding phase is sharded per band (each band
+//! sorts its own `(bucket key, record)` placements and groups them into
+//! blocks, and the shards are merged back in ascending band order). Every
+//! phase stitches results in a fixed order, so blocking output is
+//! byte-identical for any worker count — a property `tests/determinism.rs`
+//! enforces by diffing 1-thread and 4-thread runs.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
-
-use sablock_datasets::{Dataset, RecordId};
+use sablock_datasets::{Dataset, Record};
 
 use crate::blocking::{Block, BlockCollection, Blocker};
-use crate::error::{CoreError, Result};
-use crate::lsh::semantic_hash::WWaySemanticHash;
+use crate::error::Result;
+use crate::lsh::buckets::BucketScheme;
 use crate::lsh::{BandingScheme, SemanticConfig};
 use crate::minhash::shingle::RecordShingler;
 use crate::minhash::{MinHasher, MinhashConfig};
@@ -97,25 +98,30 @@ impl SaLshBlocker {
         )
     }
 
-    /// Computes the semhash signatures of every record, or `None` when no
-    /// semantic component is configured.
+    /// The bucket scheme this blocker places `records` with, and their
+    /// semhash signatures (`None` for plain LSH).
     ///
     /// The semhash family is the pinned one when the configuration carries it
     /// (see [`SemanticConfig::with_pinned_family`]); otherwise it is derived
-    /// from the interpretations of this dataset (Algorithm 1).
-    fn semantic_signatures(&self, dataset: &Dataset, threads: usize) -> Result<Option<Vec<SemanticSignature>>> {
+    /// from the interpretations of these records (Algorithm 1).
+    fn bucket_scheme(
+        &self,
+        records: &[Record],
+        threads: usize,
+    ) -> Result<(BucketScheme, Option<Vec<SemanticSignature>>)> {
         let Some(semantic) = &self.semantic else {
-            return Ok(None);
+            return Ok((BucketScheme::new(self.banding, None)?, None));
         };
         semantic.validate()?;
         let function = &semantic.function;
-        let interpretations = parallel_map(dataset.records(), threads, |record| function.interpret(record));
+        let interpretations = parallel_map(records, threads, |record| function.interpret(record));
         let family = match &semantic.pinned_family {
             Some(family) => family.clone(),
             None => SemhashFamily::build(&semantic.taxonomy, interpretations.iter())?,
         };
-        let signatures = parallel_map(&interpretations, threads, |interp| family.signature(&semantic.taxonomy, interp));
-        Ok(Some(signatures))
+        let semhashes = parallel_map(&interpretations, threads, |interp| family.signature(&semantic.taxonomy, interp));
+        let scheme = BucketScheme::new(self.banding, Some((semantic.clone(), family)))?;
+        Ok((scheme, Some(semhashes)))
     }
 }
 
@@ -133,86 +139,22 @@ impl Blocker for SaLshBlocker {
 
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.shingler.validate_against(dataset)?;
-        let threads = resolve_threads(dataset.len());
+        let records = dataset.records();
+        let threads = resolve_threads(records.len());
 
-        // Step 1-2: shingle and minhash every record (`None`: no text).
+        // Steps 1-3: the minhash signature of every record (`None`: no
+        // text) and, for SA-LSH, its semhash signature.
         let hasher = MinHasher::from_config(&self.minhash);
-        let signatures = parallel_map(dataset.records(), threads, |record| self.shingler.signature(&hasher, record));
+        let minhashes = parallel_map(records, threads, |record| self.shingler.signature(&hasher, record));
+        let (scheme, semhashes) = self.bucket_scheme(records, threads)?;
 
-        // Step 3: semhash signatures (when configured).
-        let semantic_signatures = self.semantic_signatures(dataset, threads)?;
-
-        // One independently drawn w-way semantic hash function per band.
-        let band_hashes: Option<Vec<WWaySemanticHash>> = match (&self.semantic, &semantic_signatures) {
-            (Some(semantic), Some(signatures)) => {
-                let num_features = match &semantic.pinned_family {
-                    Some(family) => family.len(),
-                    None => signatures.first().map(SemanticSignature::len).unwrap_or(0),
-                };
-                if num_features == 0 {
-                    return Err(CoreError::Config("the semhash family has no features".into()));
-                }
-                let mut rng = StdRng::seed_from_u64(semantic.seed);
-                let hashes = (0..self.banding.bands())
-                    .map(|_| WWaySemanticHash::sample(num_features, semantic.w, semantic.mode, &mut rng))
-                    .collect::<Result<Vec<_>>>()?;
-                Some(hashes)
-            }
-            _ => None,
-        };
-
-        // Step 4: banding. Records without a signature carry no textual
-        // evidence and are not indexed (they would otherwise all collide on
-        // the all-sentinel signature).
-        //
-        // Each band's bucket index is independent of every other band's, so
-        // the bucket phase shards per band: `parallel_map` builds one bucket
-        // map per band concurrently, each shard sorts its buckets by key, and
-        // the shards are merged back in ascending band order. The merged
-        // output is therefore byte-identical for any worker count.
-        let bands: Vec<usize> = (0..self.banding.bands()).collect();
+        // Step 4: banding. Each band's placements are independent of every
+        // other band's, so the phase shards per band and the shards are
+        // merged back in ascending band order: byte-identical output for any
+        // worker count.
+        let bands: Vec<usize> = (0..scheme.bands()).collect();
         let per_band: Vec<Vec<Block>> = parallel_map(&bands, threads, |&band| {
-            let mut buckets: HashMap<u64, Vec<RecordId>> = HashMap::new();
-            for (idx, signature) in signatures.iter().enumerate() {
-                let Some(signature) = signature else { continue };
-                let key = self.banding.band_key(signature, band);
-                let id = RecordId::try_from_index(idx).expect("dataset record ids are validated at construction");
-                buckets.entry(key).or_default().push(id);
-            }
-
-            let mut bucket_entries: Vec<(u64, Vec<RecordId>)> = buckets.into_iter().collect();
-            bucket_entries.sort_by_key(|(key, _)| *key);
-
-            let mut blocks = Vec::new();
-            for (bucket_key, members) in bucket_entries {
-                if members.len() < 2 {
-                    continue;
-                }
-                match (&band_hashes, &semantic_signatures) {
-                    (Some(hashes), Some(sem_signatures)) => {
-                        // Split the textual bucket into the sub-blocks induced
-                        // by this band's w-way semantic hash function.
-                        let hash = &hashes[band];
-                        let mut sub_blocks: HashMap<usize, Vec<RecordId>> = HashMap::new();
-                        for &member in &members {
-                            for sub_key in hash.sub_keys(&sem_signatures[member.index()]) {
-                                sub_blocks.entry(sub_key).or_default().push(member);
-                            }
-                        }
-                        let mut sub_entries: Vec<(usize, Vec<RecordId>)> = sub_blocks.into_iter().collect();
-                        sub_entries.sort_by_key(|(key, _)| *key);
-                        for (sub_key, sub_members) in sub_entries {
-                            if sub_members.len() >= 2 {
-                                blocks.push(Block::new(format!("b{band}:{bucket_key:016x}:g{sub_key}"), sub_members));
-                            }
-                        }
-                    }
-                    _ => {
-                        blocks.push(Block::new(format!("b{band}:{bucket_key:016x}"), members));
-                    }
-                }
-            }
-            blocks
+            scheme.blocks(band, &scheme.placements(band, records, &minhashes, semhashes.as_deref()))
         });
         BlockCollection::try_from_blocks(per_band.into_iter().flatten().collect())
     }
@@ -306,7 +248,7 @@ mod tests {
     use crate::taxonomy::bib::bibliographic_taxonomy;
     use sablock_datasets::dataset::DatasetBuilder;
     use sablock_datasets::ground_truth::EntityId;
-    use sablock_datasets::{CoraConfig, CoraGenerator, Schema};
+    use sablock_datasets::{CoraConfig, CoraGenerator, RecordId, Schema};
 
     /// The running example of Fig. 1, reduced to its essence: six records
     /// whose titles are all near-identical, three conference articles (r1, r2,

@@ -10,8 +10,6 @@
 //!   best-FM setting (the selection rule of Table 3 / Fig. 11).
 //! * [`report`] — fixed-width text tables for printing results that mirror
 //!   the paper's tables and figure series.
-//! * [`incremental`] — cumulative evaluation of streaming ingest: per-batch
-//!   delta counts that sum to the one-shot metrics.
 //! * [`perf`] — machine-readable perf reports (`BENCH_fig13.json`): a tiny
 //!   JSON writer, per-producer section upserts, latency percentiles and
 //!   peak-RSS readout.
@@ -23,14 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod incremental;
 pub mod metrics;
 pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use incremental::IncrementalEvaluation;
 pub use metrics::BlockingMetrics;
 pub use report::TextTable;
 pub use runner::{run_blocker, RunResult};

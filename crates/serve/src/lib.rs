@@ -83,6 +83,6 @@ pub use error::{Result, ServeError};
 pub use fault::FailpointPlan;
 pub use frontend::{serve_tcp, FrontendOptions};
 pub use metrics::ServiceMetrics;
-pub use service::{CandidateService, DegradeReason, EpochState, QueryBudget, QueryOutcome, WriteOp};
+pub use service::{CandidateService, DegradeReason, EpochState, QueryBudget, QueryOutcome};
 pub use store::RecordStore;
 pub use wal::{FsyncPolicy, RecoveryReport, WalOptions};

@@ -103,7 +103,7 @@ pub(crate) fn push_string(out: &mut Vec<u8>, text: &str) -> Result<()> {
 }
 
 /// Encodes a snapshot to bytes (see the module docs for the layout).
-pub fn to_bytes(name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<Vec<u8>> {
+pub(crate) fn to_bytes(name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<Vec<u8>> {
     let records = dump.removed.len();
     if store.len() != records {
         return Err(ServeError::Protocol(format!(
@@ -377,7 +377,7 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 }
 
 /// Reads and decodes a snapshot file.
-pub fn read_from_path(path: &Path) -> Result<SnapshotFile> {
+pub(crate) fn read_from_path(path: &Path) -> Result<SnapshotFile> {
     let bytes = std::fs::read(path)?;
     from_bytes(&bytes)
 }

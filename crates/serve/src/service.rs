@@ -9,12 +9,15 @@
 //!   bucket sub-maps by `Arc` and its [`RecordStore`] shares the record
 //!   chunks, so holding an old epoch costs memory, never correctness.
 //! * **The writer** serialises all mutations through one internal lock,
-//!   applies each [`WriteOp`] to its private copy-on-write head (the next
-//!   epoch in the making), and **atomically publishes** the new epoch by
-//!   swapping the `Arc`. A reader therefore observes either the state
-//!   before a batch or after it — never a half-applied batch (the
-//!   concurrency differential test recounts every published epoch offline
-//!   to pin this down).
+//!   validates each write ([`CandidateService::insert_rows`],
+//!   [`CandidateService::remove`]), logs it (durable services), applies it
+//!   to its private copy-on-write head (the next epoch in the making), and
+//!   **atomically publishes** the new epoch by swapping the `Arc`. A write
+//!   the index would refuse is refused first: it is neither logged nor
+//!   published, so epoch *e* is the state after the first *e* accepted
+//!   writes. A reader observes either the state before a write or after it
+//!   — never a half-applied one (the concurrency differential test
+//!   recounts every published epoch offline to pin this down).
 //!
 //! Query results are observationally equivalent to one-shot blocking: for a
 //! published epoch, [`EpochState::query`] returns exactly the candidate set
@@ -32,7 +35,8 @@ use std::time::Instant;
 
 use sablock_core::incremental::{IncrementalBlocker, IncrementalSaLshBlocker, IndexView, RunningCounts};
 use sablock_core::prelude::BlockCollection;
-use sablock_datasets::{Record, RecordId, Schema};
+use sablock_core::CoreError;
+use sablock_datasets::{DatasetError, Record, RecordId, Schema};
 use sablock_textual::JaccardScorer;
 
 use crate::error::{Result, ServeError};
@@ -42,10 +46,10 @@ use crate::persist::{self, SnapshotFile};
 use crate::store::RecordStore;
 use crate::wal::{self, LoggedOp, RecoveryReport, Wal, WalOptions};
 
-/// One mutation the writer applies: a batch insert (records must continue
-/// the dense id space) or a single-record tombstone.
+/// One mutation the writer logs and applies: a batch insert (records must
+/// continue the dense id space) or a single-record tombstone.
 #[derive(Debug, Clone)]
-pub enum WriteOp {
+pub(crate) enum WriteOp {
     /// Ingest a batch of new records.
     Insert(Vec<Record>),
     /// Tombstone one record. Removing an already-removed id is a no-op.
@@ -115,7 +119,7 @@ pub struct EpochState {
 
 impl EpochState {
     /// The epoch counter — 0 is the initial (possibly empty) publication,
-    /// and every applied write batch increments it by exactly one.
+    /// and every accepted write increments it by exactly one.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -250,7 +254,9 @@ impl CandidateService {
     /// Wraps a freshly built (empty) incremental blocker. Epoch 0 — the
     /// empty index — is published immediately, so readers always find a
     /// state. Errors when the blocker has already ingested records (its
-    /// corpus would be missing from the record log).
+    /// corpus would be missing from the record log), and when `schema`
+    /// lacks one of the blocker's attributes (every insert would be
+    /// refused).
     pub fn new(head: IncrementalSaLshBlocker, schema: Arc<Schema>) -> Result<Self> {
         if head.num_records() != 0 {
             return Err(ServeError::Protocol(format!(
@@ -259,7 +265,7 @@ impl CandidateService {
                 head.num_records()
             )));
         }
-        Ok(Self::from_parts(head, schema, RecordStore::new(), 0, None))
+        Self::from_parts(head, schema, RecordStore::new(), 0, None)
     }
 
     /// Opens a *durable* service on a WAL directory: adopts the newest
@@ -267,13 +273,16 @@ impl CandidateService {
     /// resumes appending. The caller supplies a freshly built (empty)
     /// blocker of the same configuration, exactly as for
     /// [`CandidateService::load`]. The initial published epoch equals the
-    /// recovered batch count, extending the `epoch ≡ applied-op-prefix`
-    /// contract across the crash.
+    /// recovered batch count, extending the `epoch ≡ accepted-write prefix`
+    /// contract across the crash. A schema that lacks one of the blocker's
+    /// attributes is refused, after the snapshot's own configuration and
+    /// schema checks.
     ///
-    /// Replayed batches the index rejects mid-batch keep their applied
-    /// prefix and count into [`RecoveryReport::replay_rejected_batches`] —
-    /// the exact semantics the live [`CandidateService::apply`] had when the
-    /// batch was first accepted, so replay is deterministic.
+    /// This build never logs a write the index refuses. Logs written by
+    /// older builds may hold such batches: replay keeps a refused batch's
+    /// applied prefix, as those builds did live, and counts the batch into
+    /// [`RecoveryReport::replay_rejected_batches`], so replay stays
+    /// deterministic.
     pub fn open_durable(
         head: IncrementalSaLshBlocker,
         schema: Arc<Schema>,
@@ -305,9 +314,9 @@ impl CandidateService {
                     // sablock-lint: allow(wal-append-before-apply): recovery replay — these ops are already durable in the log being read
                     .and_then(|op| Self::apply_one(&mut writer, op));
                 if applied.is_err() {
-                    // The live writer dropped this op and the rest of its
-                    // batch but still published the prefix; replay mirrors
-                    // that exactly.
+                    // The writer that logged this batch dropped this op and
+                    // the rest of the batch but still published the prefix;
+                    // replay mirrors that exactly.
                     rejected = true;
                     break;
                 }
@@ -317,7 +326,7 @@ impl CandidateService {
             }
             writer.epoch += 1;
         }
-        let service = Self::assemble(writer, schema);
+        let service = Self::assemble(writer, schema)?;
         Ok((service, report))
     }
 
@@ -399,24 +408,30 @@ impl CandidateService {
         store: RecordStore,
         epoch: u64,
         wal: Option<Wal>,
-    ) -> Self {
+    ) -> Result<Self> {
         Self::assemble(WriterState { head, store, epoch, wal, poisoned: None }, schema)
     }
 
-    fn assemble(writer: WriterState, schema: Arc<Schema>) -> Self {
+    /// Publishes the writer's state as the first epoch. Refuses a schema
+    /// that lacks one of the index's blocking attributes: every inserted
+    /// record carries the service schema, so the index would refuse every
+    /// insert.
+    fn assemble(writer: WriterState, schema: Arc<Schema>) -> Result<Self> {
+        let view = writer.head.publish_view();
+        if let Some(missing) = view.shingler().attributes().iter().find(|name| schema.index_of(name).is_none()) {
+            return Err(ServeError::Core(CoreError::Config(format!(
+                "attribute '{missing}' selected for blocking does not exist in the service schema"
+            ))));
+        }
         let name = writer.head.name();
-        let initial = Arc::new(EpochState {
-            epoch: writer.epoch,
-            view: writer.head.publish_view(),
-            store: writer.store.clone(),
-        });
-        Self {
+        let initial = Arc::new(EpochState { epoch: writer.epoch, view, store: writer.store.clone() });
+        Ok(Self {
             schema,
             name,
             writer: Mutex::new(writer),
             published: RwLock::new(initial),
             metrics: ServiceMetrics::new(),
-        }
+        })
     }
 
     /// The service's schema — every ingested and probe record must carry it
@@ -459,13 +474,9 @@ impl CandidateService {
         let _writer = self.lock_writer();
     }
 
-    /// Applies a batch of write ops to the private head and publishes the
-    /// result as one new epoch. Returns the published epoch.
-    ///
-    /// On a mid-batch failure the *applied prefix* is still published (the
-    /// published sequence always equals some prefix of the accepted ops —
-    /// readers never see a torn batch) and the error is returned; the
-    /// failing op and everything after it are dropped.
+    /// The shared write path (writer lock held): logs a batch of ops the
+    /// caller has validated, applies it to the private head and publishes
+    /// the result as one new epoch. Returns the published epoch.
     ///
     /// For durable services the batch is appended to the WAL *before*
     /// anything applies. A WAL failure poisons the writer: nothing is
@@ -475,13 +486,11 @@ impl CandidateService {
     /// [`CandidateService::open_durable`], which recovers exactly the
     /// durable prefix. Reads keep serving the last published epoch
     /// throughout.
-    pub fn apply(&self, ops: Vec<WriteOp>) -> Result<Arc<EpochState>> {
-        let mut writer = self.lock_writer();
-        self.apply_locked(&mut writer, ops)
-    }
-
-    /// The shared write path (writer lock held): WAL append first, then
-    /// apply-prefix-and-publish.
+    ///
+    /// Should an op still fail to apply, the applied prefix is published
+    /// (readers never see a torn batch), the rest of the batch is dropped
+    /// and the error is returned — exactly what replay does with the logged
+    /// batch.
     fn apply_locked(&self, writer: &mut WriterState, ops: Vec<WriteOp>) -> Result<Arc<EpochState>> {
         if let Some(reason) = &writer.poisoned {
             return Err(ServeError::WriterPoisoned { reason: reason.clone() });
@@ -546,8 +555,10 @@ impl CandidateService {
 
     /// Inserts raw value rows: each row is wrapped in a [`Record`] carrying
     /// the service schema and the next dense id (assigned under the writer
-    /// lock, so concurrent callers cannot race the id space), then ingested
-    /// as one batch/epoch.
+    /// lock, so concurrent callers cannot race the id space), then logged
+    /// and ingested as one batch/epoch. A row the schema refuses (wrong
+    /// arity) or an id past [`sablock_datasets::MAX_RECORD_ID`] refuses the
+    /// whole batch before anything is logged.
     pub fn insert_rows(&self, rows: Vec<Vec<Option<String>>>) -> Result<Arc<EpochState>> {
         let mut writer = self.lock_writer();
         let base = writer.head.num_records();
@@ -562,12 +573,16 @@ impl CandidateService {
         self.apply_locked(&mut writer, vec![WriteOp::Insert(records)])
     }
 
-    /// Tombstones one record ([`WriteOp::Remove`]) as its own epoch, and
-    /// tells whether this call tombstoned a live record (`false` when the id
-    /// was already removed). Decided under the writer lock, so of several
-    /// concurrent removals of one id exactly one sees `true`.
+    /// Tombstones one record as its own epoch, and tells whether this call
+    /// tombstoned a live record (`false` when the id was already removed).
+    /// Decided under the writer lock, so of several concurrent removals of
+    /// one id exactly one sees `true`. An id that was never ingested is
+    /// refused before anything is logged or published.
     pub fn remove(&self, id: RecordId) -> Result<(Arc<EpochState>, bool)> {
         let mut writer = self.lock_writer();
+        if id.index() >= writer.head.num_records() {
+            return Err(ServeError::Core(CoreError::Dataset(DatasetError::UnknownRecord(id.0))));
+        }
         let removed_before = writer.head.num_removed();
         let state = self.apply_locked(&mut writer, vec![WriteOp::Remove(id)])?;
         Ok((state, writer.head.num_removed() > removed_before))
@@ -598,7 +613,7 @@ impl CandidateService {
         }
         let snapshot = persist::read_from_path(path)?;
         let (head, store) = Self::adopt_snapshot(head, &schema, snapshot)?;
-        Ok(Self::from_parts(head, schema, store, 0, None))
+        Self::from_parts(head, schema, store, 0, None)
     }
 
     /// Checkpoints a durable service: atomically writes a snapshot covering
@@ -688,10 +703,33 @@ mod tests {
         let (third, tombstoned) = service.remove(RecordId(1)).unwrap();
         assert!(!tombstoned, "a repeated removal finds no live record");
         assert_eq!(third.epoch(), 3);
-        // ...and removing an unknown id errors but still publishes.
-        assert!(service.remove(RecordId(99)).is_err());
-        assert_eq!(service.current().epoch(), 4);
+        // ...and removing an unknown id is refused without publishing.
+        let error = service.remove(RecordId(99)).unwrap_err();
+        assert_eq!(error.to_string(), "core error: dataset error: unknown record id: 99");
+        assert_eq!(service.current().epoch(), 3);
         assert_eq!(service.current().snapshot().blocks(), second.snapshot().blocks());
+    }
+
+    #[test]
+    fn construction_refuses_a_seeded_index_and_a_schema_without_the_blocking_attribute() {
+        // A service must start from an empty index...
+        let mut seeded = builder().into_incremental().unwrap();
+        seeded
+            .insert_values(&Schema::shared(["title"]).unwrap(), vec![row("x")])
+            .unwrap();
+        assert!(CandidateService::new(seeded, Schema::shared(["title"]).unwrap()).is_err());
+
+        // ...over a schema that carries every blocking attribute, in memory
+        // and durable alike.
+        let other = Schema::shared(["name"]).unwrap();
+        let error = CandidateService::new(builder().into_incremental().unwrap(), Arc::clone(&other)).unwrap_err();
+        assert!(matches!(error, ServeError::Core(_)), "{error}");
+        assert!(error.to_string().contains("'title'"), "{error}");
+        let dir = temp_wal_dir("schema");
+        let durable =
+            CandidateService::open_durable(builder().into_incremental().unwrap(), other, &dir, WalOptions::default());
+        assert!(matches!(durable, Err(ServeError::Core(_))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -726,28 +764,6 @@ mod tests {
         let wrong_schema = Schema::shared(["name"]).unwrap();
         let wrong = Record::new(RecordId(4), wrong_schema, vec![Some("x".into())]).unwrap();
         assert!(state.query(&wrong).is_err());
-    }
-
-    #[test]
-    fn a_failing_op_publishes_the_applied_prefix() {
-        let service = service();
-        let good = Record::new(RecordId(0), Arc::clone(service.schema()), row("a theory for record linkage")).unwrap();
-        let gap = Record::new(RecordId(7), Arc::clone(service.schema()), row("a theory of record linkage")).unwrap();
-        let err = service
-            .apply(vec![WriteOp::Insert(vec![good]), WriteOp::Insert(vec![gap]), WriteOp::Remove(RecordId(0))])
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Core(_)), "{err}");
-        let state = service.current();
-        assert_eq!(state.epoch(), 1, "the prefix before the failure was published");
-        assert_eq!(state.view().num_records(), 1, "ops after the failure were dropped");
-        assert!(state.view().is_live(RecordId(0)), "the remove after the failing op was not applied");
-
-        // A service must start from an empty index.
-        let mut seeded = builder().into_incremental().unwrap();
-        seeded
-            .insert_values(&Schema::shared(["title"]).unwrap(), vec![row("x")])
-            .unwrap();
-        assert!(CandidateService::new(seeded, Schema::shared(["title"]).unwrap()).is_err());
     }
 
     fn populated_service() -> CandidateService {
@@ -880,6 +896,28 @@ mod tests {
         assert_eq!(report.replayed_records, 1, "only the post-checkpoint batch replays");
         assert_eq!(service.current().epoch(), 4);
         assert_eq!(service.current().view().num_records(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_removal_is_neither_logged_nor_published() {
+        let dir = temp_wal_dir("refused");
+        let options = WalOptions { fsync: crate::wal::FsyncPolicy::Always, ..WalOptions::default() };
+        let (service, _) = CandidateService::open_durable(
+            builder().into_incremental().unwrap(),
+            Schema::shared(["title"]).unwrap(),
+            &dir,
+            options,
+        )
+        .unwrap();
+        service.insert_rows(vec![row("a theory for record linkage")]).unwrap();
+        let (epoch, position) = (service.current().epoch(), service.wal_position());
+        for _ in 0..2 {
+            let error = service.remove(RecordId(99)).unwrap_err();
+            assert_eq!(error.to_string(), "core error: dataset error: unknown record id: 99");
+            assert_eq!(service.current().epoch(), epoch, "a refused write publishes nothing");
+            assert_eq!(service.wal_position(), position, "a refused write logs nothing");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -88,9 +88,8 @@ const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 /// drive a larger allocation.
 pub const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
-/// One durable write batch, the serializable mirror of
-/// [`WriteOp`](crate::service::WriteOp) with record ids made explicit so
-/// replay re-creates exactly the ids the writer assigned.
+/// One durable write op — an insert batch or a removal — with record ids
+/// made explicit so replay re-creates exactly the ids the writer assigned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoggedOp {
     /// Ingest these rows under these (dense) record ids.
@@ -178,8 +177,9 @@ pub struct RecoveryReport {
     /// The recovered sequence — the service's epoch after replay.
     pub recovered_seq: u64,
     /// Replayed batches the index rejected mid-batch (their applied prefix
-    /// still counts, mirroring live `apply` semantics). Filled in by the
-    /// service layer, not by [`recover`] itself.
+    /// still counts, as it did live in the older builds that logged such
+    /// batches; this build refuses a write before logging it). Filled in by
+    /// the service layer, not by [`recover`] itself.
     pub replay_rejected_batches: u64,
 }
 

@@ -4,11 +4,9 @@
 //! mutex), one proves the canonical order stays silent under real traffic.
 #![cfg(feature = "check-invariants")]
 
-use std::sync::Arc;
-
 use sablock_core::prelude::SaLshBlocker;
-use sablock_datasets::{Record, RecordId, Schema};
-use sablock_serve::{CandidateService, WriteOp};
+use sablock_datasets::{RecordId, Schema};
+use sablock_serve::CandidateService;
 
 fn service() -> CandidateService {
     let schema = Schema::shared(["title"]).expect("valid schema");
@@ -23,11 +21,6 @@ fn service() -> CandidateService {
     CandidateService::new(head, schema).expect("schema matches the index attributes")
 }
 
-fn record(service: &CandidateService, id: u32, title: &str) -> Record {
-    Record::new(RecordId(id), Arc::clone(service.schema()), vec![Some(title.to_string())])
-        .expect("record matches the service schema")
-}
-
 #[test]
 #[should_panic(expected = "lock-order violation")]
 fn guard_trips_on_inverted_acquisition() {
@@ -38,11 +31,9 @@ fn guard_trips_on_inverted_acquisition() {
 fn canonical_order_never_trips() {
     let service = service();
     for round in 0..4u32 {
-        let batch = (0..8u32)
-            .map(|i| record(&service, round * 8 + i, &format!("record {round} {i}")))
-            .collect();
+        let rows = (0..8u32).map(|i| vec![Some(format!("record {round} {i}"))]).collect();
         // Writer path: mutex first, epoch RwLock second (inside publish).
-        let epoch = service.apply(vec![WriteOp::Insert(batch)]).expect("insert publishes an epoch");
+        let epoch = service.insert_rows(rows).expect("insert publishes an epoch");
         // Reader path: epoch guard alone, then lock-free queries.
         let probe = service
             .probe_record(&epoch, vec![Some(format!("record {round} 0"))])

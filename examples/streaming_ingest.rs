@@ -82,6 +82,18 @@ impl TruthTotals {
         self.total_pairs += self.records;
         self.records += 1;
     }
+
+    /// The blocking metrics of the running counters against the records
+    /// pushed so far (`redundant_pairs` is left at 0: PQ*/FM* are not used).
+    fn metrics(&self, counts: RunningCounts) -> BlockingMetrics {
+        BlockingMetrics {
+            candidate_pairs: counts.pairs,
+            redundant_pairs: 0,
+            true_positives: counts.true_positives,
+            total_true_matches: self.true_matches,
+            total_pairs: self.total_pairs,
+        }
+    }
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -132,7 +144,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut all_rows: Vec<Vec<Option<String>>> = Vec::with_capacity(num_records);
 
     let mut truth_totals = TruthTotals::default();
-    let mut evaluation = IncrementalEvaluation::new();
     let mut latencies = LatencyStats::new();
     let mut batch_index = 0usize;
     while let Some(chunk) = stream.next_chunk(batch_size) {
@@ -153,9 +164,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         // Cumulative quality so far: the running counters already fold the
         // delta — reading them is O(1), no pair is ever re-probed.
-        evaluation.sync_with(incremental.running_counts());
-        let cumulative =
-            evaluation.metrics_with_totals(truth_totals.true_matches, truth_totals.total_pairs, 0);
+        let cumulative = truth_totals.metrics(incremental.running_counts());
         batch_index += 1;
         println!(
             "batch {:>3}: +{:>7} records in {:>8.2} ms | +{:>9} delta pairs | cumulative PC={:.4} RR={:.4}",
@@ -181,11 +190,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // --- 2. Snapshot metrics in O(delta): an O(1) counter read ---------------
     let metrics_start = Instant::now();
     let running = incremental.running_counts();
-    let final_metrics = IncrementalEvaluation::from(running).metrics_with_totals(
-        truth_totals.true_matches,
-        truth_totals.total_pairs,
-        0,
-    );
+    let final_metrics = truth_totals.metrics(running);
     let snapshot_metrics_time = metrics_start.elapsed();
     println!(
         "snapshot metrics (running counters): |Γ| = {}, |Γ_tp| = {}, PC={:.4} RR={:.4} in {:.6}s",

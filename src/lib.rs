@@ -72,8 +72,8 @@ pub mod prelude {
         NcVoterStream, Record, RecordId, Schema,
     };
     pub use sablock_eval::experiments::Scale;
-    pub use sablock_eval::{run_blocker, BlockingMetrics, IncrementalEvaluation, RunResult, TextTable};
-    pub use sablock_serve::{CandidateService, EpochState, ServeError, WriteOp};
+    pub use sablock_eval::{run_blocker, BlockingMetrics, RunResult, TextTable};
+    pub use sablock_serve::{CandidateService, EpochState, ServeError};
     pub use sablock_textual::{jaccard, jaro_winkler, levenshtein, qgram_similarity, SimilarityFunction};
 }
 
