@@ -1,14 +1,13 @@
 //! Micro-benchmarks of the hot paths: q-gram extraction, scoring one ranked
 //! query candidate (fresh hash sets, a reused hash set, and the
 //! allocation-free kernel), minhash signatures, semhash signatures, banding
-//! keys, the similarity metrics used by the baselines, and the packed
-//! pair-merge machinery (loser-tree vs heap merge, radix vs tuple sort)
-//! behind the streaming Γ counter.
+//! keys, the similarity metrics used by the baselines, and the streaming Γ
+//! counter against the materialising `distinct_pairs()` oracle.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sablock_core::blocking::{merge_count_packed_runs, radix_sort_packed, PairCounts};
+use sablock_core::blocking::{Block, BlockCollection, PairCounts};
 use sablock_core::lsh::BandingScheme;
 use sablock_core::minhash::shingle::RecordShingler;
 use sablock_core::minhash::{MinHasher, MinhashConfig};
@@ -110,7 +109,7 @@ fn bench_semantics(c: &mut Criterion) {
     group.finish();
 }
 
-/// A deterministic xorshift so the merge/sort inputs are reproducible
+/// A deterministic xorshift so the synthetic collection is reproducible
 /// without pulling the dataset generators into a micro-bench.
 struct XorShift(u64);
 
@@ -123,117 +122,47 @@ impl XorShift {
     }
 }
 
-/// Sorted, deduplicated packed runs shaped like the streaming counter's
-/// per-shard runs: each run is the pair enumeration of `blocks` small
-/// blocks — a cluster of consecutive keys per anchor — over a
-/// `universe`-record id space (smaller universes ⇒ heavier cross-run
-/// duplication; the full-scale SA-LSH merge collapses ~13.6× cross-run
-/// redundancy).
-fn synthetic_runs(runs: usize, blocks: usize, block_size: u64, universe: u64) -> Vec<Vec<u64>> {
-    let mut rng = XorShift(0x5AB10C ^ ((runs as u64) << 32) ^ blocks as u64);
-    (0..runs)
-        .map(|_| {
-            let mut keys: Vec<u64> = Vec::with_capacity(blocks * block_size as usize);
-            for _ in 0..blocks {
-                let anchor = (rng.next() % universe) as u32;
-                let base = anchor + 1 + (rng.next() % 64) as u32;
-                let width = u32::try_from(block_size).expect("synthetic block sizes fit u32");
-                for j in 0..width {
-                    keys.push(RecordPair::pack_ascending(RecordId(anchor), RecordId(base + j)));
-                }
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            keys
+/// An overlap-heavy synthetic collection of about 1M redundant pairs:
+/// 3,200 blocks of up to 32 members, each drawn from a 64-id window of a
+/// 4,000-record universe, so a record sits in about 20 blocks and a
+/// distinct pair repeats in about 4.5 of them (989,398 redundant pairs,
+/// 222,427 distinct).
+fn synthetic_collection() -> BlockCollection {
+    let mut rng = XorShift(0x5AB10C);
+    let blocks = (0..3_200)
+        .map(|i| {
+            let base = rng.next() % 4_000;
+            let members = (0..32)
+                .map(|_| RecordId(u32::try_from(base + rng.next() % 64).expect("synthetic ids fit u32")))
+                .collect();
+            Block::new(format!("b{i}"), members)
         })
-        .collect()
+        .collect();
+    BlockCollection::from_blocks(blocks)
 }
 
-/// The PR-3 k-way merge counter this PR replaced, verbatim: a binary heap of
-/// `Reverse<(RecordPair, usize)>` heads, one pop + push per redundant pair,
-/// with a closure probe per emitted distinct pair.
-fn heap_merge_count(runs: &[Vec<RecordPair>], probe: impl Fn(&RecordPair) -> bool) -> PairCounts {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut iters: Vec<_> = runs.iter().map(|run| run.iter().copied()).collect();
-    let mut heap: BinaryHeap<Reverse<(RecordPair, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (idx, iter) in iters.iter_mut().enumerate() {
-        if let Some(pair) = iter.next() {
-            heap.push(Reverse((pair, idx)));
-        }
-    }
-    let mut counts = PairCounts::default();
-    let mut last: Option<RecordPair> = None;
-    while let Some(Reverse((pair, idx))) = heap.pop() {
-        if last != Some(pair) {
-            counts.distinct += 1;
-            if probe(&pair) {
-                counts.matching += 1;
-            }
-            last = Some(pair);
-        }
-        if let Some(next) = iters[idx].next() {
-            heap.push(Reverse((next, idx)));
-        }
-    }
-    counts
-}
-
-fn bench_pair_merge(c: &mut Criterion) {
+fn bench_gamma_count(c: &mut Criterion) {
+    let collection = synthetic_collection();
     let probe = |p: &RecordPair| p.first().0 % 7 == 0;
-    let mut group = c.benchmark_group("micro/pair_merge");
-    group.sample_size(10);
-    // Two run shapes: a moderate fan-in, and the ~1,000-run fan-in of a
-    // paper-scale pair-space slice (one run per 256-block shard), where the
-    // heap's per-pair pop+push pays 2·log₂(k) tuple compares against the
-    // loser tree's single path replay (and its per-segment gallop over each
-    // block's key cluster).
-    for (runs, blocks, universe) in [(48usize, 700usize, 60_000u64), (1_024, 1_400, 12_000)] {
-        let packed = synthetic_runs(runs, blocks, 6, universe);
-        let tuples: Vec<Vec<RecordPair>> =
-            packed.iter().map(|run| run.iter().map(|&key| RecordPair::from_packed(key)).collect()).collect();
-        group.bench_function(format!("heap_tuple_merge_{runs}r_{blocks}b_u{universe}"), |b| {
-            b.iter(|| heap_merge_count(black_box(&tuples), probe))
-        });
-        group.bench_function(format!("loser_tree_packed_merge_{runs}r_{blocks}b_u{universe}"), |b| {
-            b.iter(|| merge_count_packed_runs(black_box(&packed), &probe))
-        });
-    }
-    group.finish();
-}
-
-fn bench_run_sort(c: &mut Criterion) {
-    // One unsorted shard enumeration's worth of pairs, as tuples and packed.
-    let packed: Vec<u64> = {
-        let mut rng = XorShift(0xC0FFEE);
-        (0..200_000)
-            .map(|_| {
-                let a = (rng.next() % 250_000) as u32;
-                let b = a + 1 + (rng.next() % 512) as u32;
-                RecordPair::pack_ascending(RecordId(a), RecordId(b))
-            })
-            .collect()
+    let oracle = |collection: &BlockCollection| {
+        let pairs = collection.distinct_pairs();
+        PairCounts { distinct: pairs.len() as u64, matching: pairs.iter().filter(|p| probe(p)).count() as u64 }
     };
-    let tuples: Vec<RecordPair> = packed.iter().map(|&key| RecordPair::from_packed(key)).collect();
+    let redundant = collection.redundant_pair_count();
+    let expected = oracle(&collection);
+    assert!(expected.distinct < redundant, "the synthetic collection repeats pairs across blocks");
+    assert_eq!(collection.stream_packed_counts(probe), expected, "the streaming counter must count like the oracle");
 
-    let mut group = c.benchmark_group("micro/run_sort");
+    let mut group = c.benchmark_group("micro/gamma_count");
     group.sample_size(10);
-    group.bench_function("tuple_sort_unstable_200k", |b| {
-        b.iter(|| {
-            let mut run = tuples.clone();
-            run.sort_unstable();
-            black_box(run)
-        })
+    group.bench_function(format!("distinct_pairs_oracle_{redundant}p"), |b| {
+        b.iter(|| oracle(black_box(&collection)))
     });
-    group.bench_function("packed_radix_sort_200k", |b| {
-        b.iter(|| {
-            let mut run = packed.clone();
-            radix_sort_packed(&mut run);
-            black_box(run)
-        })
+    group.bench_function(format!("stream_packed_counts_{redundant}p"), |b| {
+        b.iter(|| black_box(&collection).stream_packed_counts(probe))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_textual, bench_signatures, bench_semantics, bench_pair_merge, bench_run_sort);
+criterion_group!(benches, bench_textual, bench_signatures, bench_semantics, bench_gamma_count);
 criterion_main!(benches);

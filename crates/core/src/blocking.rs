@@ -8,16 +8,26 @@
 //!
 //! # The packed pair representation
 //!
-//! Every bulk pair path — enumeration, deduplication and the streaming
-//! Γ counter — operates on *packed* pair keys ([`RecordPair::pack`]): the
+//! Every bulk pair path — the streaming Γ counter, ingest deltas and
+//! removals — carries pairs as *packed* keys ([`RecordPair::pack`]): the
 //! smaller record id in the high 32 bits of a `u64`, the larger in the low
-//! 32. Packed keys order exactly like [`RecordPair`]s, so sorted runs are
-//! plain `Vec<u64>`, run construction is an LSB radix sort
-//! ([`radix_sort_packed`]), and every comparison of the k-way merge is a
-//! single integer compare. The merge itself is a flat loser (tournament)
-//! tree with a galloping fast path ([`merge_count_packed_runs`]): one
-//! path-to-root update per *segment* of pairs instead of a heap pop + push
-//! per redundant pair.
+//! 32. Packed keys order exactly like [`RecordPair`]s, and a [`PackedProbe`]
+//! tests one with at most two shifts and two loads.
+//!
+//! # Counting distinct pairs without sorting them
+//!
+//! A pair repeats once per block its two records share, so Γ is the
+//! redundant pairs with the repeats removed. The partner-dedup kernel
+//! (`SeenSet::distinct_partners`) removes them per record, not per pair:
+//! for one *anchor* record it walks the member lists the anchor belongs to,
+//! keeps each partner once through a seen-set indexed by dense id, and
+//! clears exactly the entries it set before it returns. With every pair
+//! anchored on one of its two records, each distinct pair comes out exactly
+//! once, with O(redundant pairs) work, one O(records) seen-set per worker and
+//! no sort or merge — the entity index of Comparison Propagation in the
+//! Papadakis et al. survey. One-shot Γ
+//! ([`BlockCollection::stream_packed_counts`]), incremental ingest deltas and
+//! removals all run it.
 
 use std::collections::HashMap;
 
@@ -31,82 +41,56 @@ use crate::parallel::{default_threads, parallel_map};
 
 pub use sablock_datasets::record::MAX_RECORD_ID;
 
-/// How many blocks one shard of the pair-enumeration covers. Shards are
-/// enumerated and sorted independently (in parallel for large collections)
-/// and then combined by the loser-tree merge.
-const PAIR_SHARD_BLOCKS: usize = 256;
-
-/// Target number of (redundant) pairs per pair-space slice of the streaming
-/// counter. Collections whose redundant pair count stays below this are
-/// counted in a single slice; larger ones are split so that only
-/// `threads × slice` pairs are ever resident at once.
-const STREAM_SLICE_TARGET_PAIRS: u64 = 32_000_000;
-
-/// Upper bound on the number of pair-space slices of the streaming counter.
-/// Every slice re-scans the block headers (cheap), so an excessive slice
-/// count would trade memory nobody needs saved for wasted scans.
-const MAX_STREAM_SLICES: usize = 64;
-
-/// Below this length the scatter passes of the radix sort cost more than a
-/// comparison sort's cache locality buys back, so short runs fall through to
-/// `sort_unstable`.
-const RADIX_SORT_MIN: usize = 1 << 10;
-
-/// Sorts packed pair keys with an LSB radix sort: one histogram pre-scan
-/// over all eight byte digits, then one counting-scatter pass per digit that
-/// actually varies (a digit whose value is shared by every key — common when
-/// record ids span far fewer than 32 bits — is skipped outright). Short
-/// inputs (under 1,024 keys) fall back to `sort_unstable`, whose branchy
-/// pattern-defeating pdqsort wins at that size.
-///
-/// Exposed (with [`merge_count_packed_runs`]) so benches and property tests
-/// can pin the packed run construction against the tuple-sorting reference.
-pub fn radix_sort_packed(keys: &mut Vec<u64>) {
-    let len = keys.len();
-    if len < RADIX_SORT_MIN || len > u32::MAX as usize {
-        keys.sort_unstable();
-        return;
-    }
-    let mut hist = vec![[0u32; 256]; 8];
-    for &key in keys.iter() {
-        let mut k = key;
-        for digit in &mut hist {
-            digit[(k & 0xFF) as usize] += 1;
-            k >>= 8;
-        }
-    }
-    let mut src = std::mem::take(keys);
-    let mut dst = vec![0u64; len];
-    for (digit, counts) in hist.iter().enumerate() {
-        if counts.iter().any(|&count| count as usize == len) {
-            continue;
-        }
-        let shift = digit * 8;
-        let mut offsets = [0u32; 256];
-        let mut running = 0u32;
-        for (offset, &count) in offsets.iter_mut().zip(counts.iter()) {
-            *offset = running;
-            running += count;
-        }
-        for &key in &src {
-            let bucket = ((key >> shift) & 0xFF) as usize;
-            dst[offsets[bucket] as usize] = key;
-            offsets[bucket] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    *keys = src;
-    crate::invariants::assert_sorted(keys, "radix_sort_packed output");
+/// A seen-set over dense ids — record ids, or the dense ranks of one
+/// collection's members — for the partner-dedup kernel
+/// ([`SeenSet::distinct_partners`]). Every kernel call leaves it all clear,
+/// so one set serves any number of anchors without a reset.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeenSet {
+    marks: Vec<bool>,
+    /// The partners the current call kept, in first-seen order — reused
+    /// across calls, so an anchor allocates nothing once it has grown.
+    kept: Vec<u32>,
 }
 
-/// Enumerates, radix-sorts and dedups the packed pairs of a slice of blocks —
-/// one sorted run of the shard-then-merge pair enumeration.
-fn packed_pair_run(blocks: &[Block]) -> Vec<u64> {
-    let mut keys: Vec<u64> = blocks.iter().flat_map(|b| b.pairs().map(RecordPair::pack)).collect();
-    radix_sort_packed(&mut keys);
-    keys.dedup();
-    crate::invariants::assert_strictly_ascending(&keys, "packed_pair_run");
-    keys
+impl SeenSet {
+    /// A clear set covering ids `0..len`.
+    pub(crate) fn with_len(len: usize) -> Self {
+        Self { marks: vec![false; len], kept: Vec::new() }
+    }
+
+    /// Grows the set to cover ids `0..len`; never shrinks.
+    pub(crate) fn grow(&mut self, len: usize) {
+        if self.marks.len() < len {
+            self.marks.resize(len, false);
+        }
+    }
+
+    /// The partner-dedup kernel: calls `emit` once for each distinct id
+    /// among `partners`, in first-seen order. Each id is marked when first
+    /// seen, and exactly the marks set here are cleared before the call
+    /// returns, so it costs O(|partners|) whatever the size of the set.
+    /// Every id must be below the covered length.
+    pub(crate) fn distinct_partners(&mut self, partners: impl IntoIterator<Item = u32>, mut emit: impl FnMut(u32)) {
+        self.kept.clear();
+        for partner in partners {
+            let mark = &mut self.marks[partner as usize];
+            if !*mark {
+                *mark = true;
+                self.kept.push(partner);
+            }
+        }
+        for &partner in &self.kept {
+            self.marks[partner as usize] = false;
+            emit(partner);
+        }
+    }
+
+    /// The marks, for the sanitizer's all-clear check.
+    #[cfg(feature = "check-invariants")]
+    pub(crate) fn marks(&self) -> &[bool] {
+        &self.marks
+    }
 }
 
 /// Counts accumulated by one streaming pass over the distinct candidate-pair
@@ -128,10 +112,18 @@ impl PairCounts {
             matching: self.matching + other.matching,
         }
     }
+
+    /// Counts one distinct pair, probing it once.
+    #[inline]
+    pub(crate) fn tally<P: PackedProbe>(&mut self, key: u64, probe: &P) {
+        self.distinct += 1;
+        self.matching += u64::from(probe.matches(key));
+    }
 }
 
-/// A predicate over packed pair keys, monomorphised into the merge-counting
-/// loop (no boxing, no per-pair virtual dispatch).
+/// A predicate over packed pair keys, monomorphised into the counting loops
+/// (no boxing, no per-pair virtual dispatch). The counters probe each
+/// distinct pair exactly once, in no promised order.
 ///
 /// The blanket impl lets any `Fn(&RecordPair) -> bool` closure serve as a
 /// probe (unpacking costs two shifts); [`EntityTableProbe`] is the fast path
@@ -152,7 +144,7 @@ where
 }
 
 /// Ground-truth matching as a [`PackedProbe`]: a dense per-record entity
-/// table (`GroundTruth::entity_table`), so the match test inside the merge
+/// table (`GroundTruth::entity_table`), so the match test inside the counting
 /// loop is two bounds-checked loads and an integer compare. Records beyond
 /// the table never match (the blocks may cover ids the truth does not).
 #[derive(Debug, Clone, Copy)]
@@ -175,237 +167,6 @@ impl PackedProbe for EntityTableProbe<'_> {
             _ => false,
         }
     }
-}
-
-/// A flat loser (tournament) tree over the current heads of `cap` runs
-/// (`cap` a power of two; surplus leaves carry the `u64::MAX` sentinel).
-/// `node[0]` holds the run index of the overall winner; `node[1..cap]` hold
-/// the loser of each internal match. Advancing the winner replays one
-/// leaf-to-root path — ⌈log₂ cap⌉ integer compares — instead of the pop +
-/// push (two heap walks over tuple keys) of a binary heap.
-struct LoserTree {
-    node: Vec<u32>,
-    cap: usize,
-}
-
-impl LoserTree {
-    /// Builds the tree over initial head keys (`keys.len()` == `cap`).
-    fn new(keys: &[u64]) -> Self {
-        let cap = keys.len();
-        debug_assert!(cap.is_power_of_two());
-        let mut node = vec![0u32; cap];
-        let mut winner = vec![0u32; 2 * cap];
-        for (i, slot) in winner.iter_mut().skip(cap).enumerate() {
-            *slot = i as u32;
-        }
-        for n in (1..cap).rev() {
-            let a = winner[2 * n];
-            let b = winner[2 * n + 1];
-            let (win, lose) = if keys[b as usize] < keys[a as usize] { (b, a) } else { (a, b) };
-            winner[n] = win;
-            node[n] = lose;
-        }
-        node[0] = if cap > 1 { winner[1] } else { 0 };
-        Self { node, cap }
-    }
-
-    /// The run index holding the smallest current head.
-    #[inline]
-    fn winner(&self) -> usize {
-        self.node[0] as usize
-    }
-
-    /// Replays the path from run `run`'s leaf to the root after its head key
-    /// changed, restoring the winner at `node[0]`.
-    #[inline]
-    fn replay(&mut self, run: usize, keys: &[u64]) {
-        let mut winner = run as u32;
-        let mut n = (self.cap + run) >> 1;
-        while n >= 1 {
-            let contender = self.node[n];
-            if keys[contender as usize] < keys[winner as usize] {
-                self.node[n] = winner;
-                winner = contender;
-            }
-            n >>= 1;
-        }
-        self.node[0] = winner;
-    }
-
-    /// The runner-up's head key: the losers stored on the winner's path are
-    /// exactly the winners of every opposing subtree, so their minimum is the
-    /// smallest head outside the winning run — the bound below which the
-    /// winner's run can be emitted wholesale without touching the tree.
-    #[inline]
-    fn challenger(&self, keys: &[u64]) -> u64 {
-        let winner = self.node[0] as usize;
-        let mut best = u64::MAX;
-        let mut n = (self.cap + winner) >> 1;
-        while n >= 1 {
-            best = best.min(keys[self.node[n] as usize]);
-            n >>= 1;
-        }
-        best
-    }
-}
-
-/// Merges sorted, individually-deduplicated packed runs and feeds the
-/// globally deduplicated output to `emit` as strictly-ascending segments
-/// (each segment a borrowed slice of one input run).
-///
-/// The merge is comparison-minimal and adaptive. A [`LoserTree`] keeps the
-/// smallest head; the common advance is one leaf-to-root replay — ⌈log₂ k⌉
-/// single-`u64` compares. When the same run wins twice in a row (a locally
-/// dominating run: blocks cluster pairs by anchor id, so this is frequent),
-/// the merge switches to the **galloping fast path**: it computes the
-/// runner-up's head once ([`LoserTree::challenger`]) and bulk-emits the
-/// winning run's entire prefix below that bound with a single tree update,
-/// however long the prefix. When only one run remains alive
-/// (`challenger == u64::MAX`), its whole tail goes out as one segment.
-/// Finely interleaved runs therefore pay one replay per key — never the
-/// challenger walk — while skewed run shapes collapse to segment-sized
-/// work.
-pub(crate) fn merge_packed_runs_into<E: FnMut(&[u64])>(runs: &[Vec<u64>], mut emit: E) {
-    #[cfg(feature = "check-invariants")]
-    let mut emit = {
-        for run in runs {
-            crate::invariants::assert_strictly_ascending(run, "merge_packed_runs_into input run");
-        }
-        let mut last: Option<u64> = None;
-        move |segment: &[u64]| {
-            crate::invariants::check_emission_monotone(&mut last, segment);
-            emit(segment);
-        }
-    };
-    let live: Vec<&[u64]> = runs.iter().map(Vec::as_slice).filter(|r| !r.is_empty()).collect();
-    match live.len() {
-        0 => return,
-        1 => {
-            emit(live[0]);
-            return;
-        }
-        _ => {}
-    }
-    let cap = live.len().next_power_of_two();
-    let mut pos = vec![0usize; live.len()];
-    let mut keys = vec![u64::MAX; cap];
-    for (key, run) in keys.iter_mut().zip(live.iter()) {
-        *key = run[0];
-    }
-    let mut tree = LoserTree::new(&keys);
-    // No valid packed pair is `u64::MAX` (the smaller id is < u32::MAX), so
-    // it doubles as both the exhausted-run sentinel and "nothing emitted yet".
-    let mut last = u64::MAX;
-    let mut prev_winner = usize::MAX;
-    loop {
-        let w = tree.winner();
-        let head = keys[w];
-        if head == u64::MAX {
-            break;
-        }
-        let run = live[w];
-        let mut p = pos[w];
-        if w == prev_winner {
-            // The run won twice in a row — gallop: everything below the
-            // runner-up's head is below every other run's current and future
-            // keys, so the prefix is globally next and — runs being
-            // deduplicated — unique except possibly its first key repeating
-            // `last`.
-            let bound = tree.challenger(&keys);
-            if head < bound {
-                let start = if head == last { p + 1 } else { p };
-                while p < run.len() && run[p] < bound {
-                    p += 1;
-                }
-                if start < p {
-                    emit(&run[start..p]);
-                    last = run[p - 1];
-                }
-            } else {
-                // head == bound: a cross-run tie; emit one key and let the
-                // other run's equal head be dropped as a duplicate.
-                if head != last {
-                    emit(&run[p..p + 1]);
-                    last = head;
-                }
-                p += 1;
-            }
-        } else {
-            // Single-step advance: emit the winner and replay — no
-            // challenger walk on the interleaved fast path.
-            if head != last {
-                emit(&run[p..p + 1]);
-                last = head;
-            }
-            p += 1;
-        }
-        pos[w] = p;
-        keys[w] = if p < run.len() { run[p] } else { u64::MAX };
-        tree.replay(w, &keys);
-        prev_winner = w;
-    }
-}
-
-/// Folds sorted, individually-deduplicated packed runs through the
-/// loser-tree merge, counting distinct keys and probing each emitted key
-/// exactly once. Nothing beyond the runs themselves is ever allocated.
-///
-/// Public (with [`radix_sort_packed`]) so benches and property tests can pin
-/// it against a heap-merge reference on adversarial run shapes.
-pub fn merge_count_packed_runs<P: PackedProbe>(runs: &[Vec<u64>], probe: &P) -> PairCounts {
-    let mut counts = PairCounts::default();
-    merge_packed_runs_into(runs, |segment| {
-        counts.distinct += segment.len() as u64;
-        for &key in segment {
-            if probe.matches(key) {
-                counts.matching += 1;
-            }
-        }
-    });
-    counts
-}
-
-/// Cuts pair space into `slices` id ranges of roughly equal *anchored-pair
-/// mass*: a record anchors the pairs in which it is the smaller id, so in a
-/// sorted member list the member at position `i` anchors `len − 1 − i`
-/// pairs. Boundaries are placed on the cumulative anchor weight rather than
-/// on raw id values, so the per-slice memory bound holds under arbitrary id
-/// layouts (skewed, sparse, or outlier-heavy distributions alike).
-///
-/// Returns `slices + 1` non-decreasing bounds; slice `s` owns the pairs
-/// whose smaller id lies in `[bounds[s], bounds[s + 1])`, and together the
-/// slices cover pair space exactly once.
-fn slice_bounds(sorted_members: &[Vec<RecordId>], slices: usize) -> Vec<u64> {
-    let mut weights: Vec<(RecordId, u64)> = sorted_members
-        .iter()
-        .flat_map(|members| {
-            let n = members.len();
-            members.iter().enumerate().map(move |(i, &id)| (id, (n - 1 - i) as u64)) // sablock-lint: allow(lossy-id-cast): anchored-pair count, not an id; usize → u64 widens losslessly
-        })
-        .collect();
-    weights.sort_unstable_by_key(|&(id, _)| id);
-    let total: u64 = weights.iter().map(|&(_, w)| w).sum();
-    let min_id = weights.first().map_or(0, |&(id, _)| u64::from(id.0));
-    let end = weights.last().map_or(0, |&(id, _)| u64::from(id.0) + 1);
-    let mut bounds = Vec::with_capacity(slices + 1);
-    bounds.push(min_id);
-    // A bound is emitted once the cumulative weight crosses s·total/slices;
-    // it always lands *after* the current id, so an id's anchored pairs are
-    // never split across slices (a heavy single id simply keeps its slice).
-    let mut cumulative = 0u64;
-    let mut next_cut = 1usize;
-    for &(id, weight) in &weights {
-        cumulative += weight;
-        while next_cut < slices && u128::from(cumulative) * slices as u128 >= u128::from(total) * next_cut as u128 {
-            bounds.push(u64::from(id.0) + 1);
-            next_cut += 1;
-        }
-    }
-    while bounds.len() < slices + 1 {
-        bounds.push(end);
-    }
-    bounds[slices] = end;
-    bounds
 }
 
 /// A single block: a bucket key plus the records hashed into it.
@@ -480,12 +241,13 @@ impl BlockCollection {
     }
 
     /// [`BlockCollection::from_blocks`] with record-id-width validation: every
-    /// member id must stay at or below [`MAX_RECORD_ID`]. An id of `u32::MAX`
-    /// would alias the `u64::MAX` exhausted-run sentinel of the loser-tree
-    /// merge when packed, silently corrupting pair counts — so it is rejected
-    /// here with a typed [`CoreError::RecordIdOverflow`]. Blockers that
-    /// assemble collections from externally supplied ids should construct
-    /// through this entry point.
+    /// member id must stay at or below [`MAX_RECORD_ID`], the bound every id
+    /// of the workspace keeps (`u32::MAX` is reserved so that an id space's
+    /// length — the incremental index's `next_id = last id + 1` — still fits
+    /// a `u32`). An id beyond it is rejected here with a typed
+    /// [`CoreError::RecordIdOverflow`]. Blockers that assemble collections
+    /// from externally supplied ids should construct through this entry
+    /// point.
     pub fn try_from_blocks(blocks: Vec<Block>) -> Result<Self> {
         for block in &blocks {
             if let Some(&id) = block.members().iter().find(|id| id.0 > MAX_RECORD_ID) {
@@ -551,36 +313,18 @@ impl BlockCollection {
         self.blocks.iter().map(Block::pair_count).sum()
     }
 
-    /// The per-shard sorted, deduplicated packed pair runs of the whole
-    /// collection (the PR-2 sort-dedup shards, now radix-sorted `Vec<u64>`).
-    fn packed_runs(&self, threads: usize) -> Vec<Vec<u64>> {
-        if self.blocks.len() > PAIR_SHARD_BLOCKS {
-            let shards: Vec<&[Block]> = self.blocks.chunks(PAIR_SHARD_BLOCKS).collect();
-            parallel_map(&shards, threads, |shard| packed_pair_run(shard))
-        } else {
-            vec![packed_pair_run(&self.blocks)]
-        }
-    }
-
     /// The set Γ of *distinct* candidate pairs across all blocks, returned as
-    /// a vector sorted in ascending [`RecordPair`] order.
+    /// a vector sorted in ascending [`RecordPair`] order: every block's pairs
+    /// enumerated, then `sort_unstable` and `dedup` over their packed keys.
     ///
-    /// Enumeration is sort-dedup based rather than hash-set based: blocks are
-    /// split into shards, each shard's packed pairs are radix-sorted and
-    /// deduplicated independently (in parallel for large collections), the
-    /// runs are merged once through the loser-tree/galloping merge into a
-    /// single packed vector, and the keys are unpacked once at the end. This
-    /// keeps bulk enumeration cache-friendly and allocation-light, and the
-    /// output order is deterministic regardless of thread count.
-    ///
-    /// This materialises all of Γ — at paper scale that is gigabytes. Callers
-    /// that only need counts (metrics, `|Γ|`, true-positive tallies) should
-    /// use [`BlockCollection::stream_packed_counts`], which is semantically
-    /// identical but never holds the full set.
+    /// This materialises all of Γ — at paper scale that is gigabytes. It is
+    /// the reference the streaming counter is tested against; callers that
+    /// only need counts (metrics, `|Γ|`, true-positive tallies) should use
+    /// [`BlockCollection::stream_packed_counts`], which never holds the set.
     pub fn distinct_pairs(&self) -> Vec<RecordPair> {
-        let runs = self.packed_runs(default_threads());
-        let mut packed: Vec<u64> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        merge_packed_runs_into(&runs, |segment| packed.extend_from_slice(segment));
+        let mut packed: Vec<u64> = self.blocks.iter().flat_map(|block| block.pairs().map(RecordPair::pack)).collect();
+        packed.sort_unstable();
+        packed.dedup();
         packed.into_iter().map(RecordPair::from_packed).collect()
     }
 
@@ -593,100 +337,100 @@ impl BlockCollection {
     /// Streams the distinct candidate-pair set Γ through a counting fold
     /// instead of materialising it: returns `|Γ|` plus the number of distinct
     /// pairs the probe accepts (with ground truth as the probe, `|Γ_tp|`).
-    /// Each distinct pair is probed exactly once, in ascending order within
-    /// its pair-space slice. Any `Fn(&RecordPair) -> bool` closure is a
-    /// [`PackedProbe`]; bulk ground-truth callers should pass
-    /// [`EntityTableProbe`].
+    /// Each distinct pair is probed exactly once, in no promised order. Any
+    /// `Fn(&RecordPair) -> bool` closure is a [`PackedProbe`]; bulk
+    /// ground-truth callers should pass [`EntityTableProbe`].
     ///
     /// Semantically this is `distinct_pairs()` followed by a count/filter,
-    /// but the memory high-water mark is one pair-space *slice* per worker
-    /// rather than the whole Γ: pair space is range-partitioned by the
-    /// smaller record id into slices sized off the redundant pair count
-    /// (boundaries cut on cumulative anchored-pair mass, so the bound holds
-    /// for skewed id layouts too), and each slice independently radix-sorts
-    /// per-shard packed runs and folds them through the loser-tree/galloping
-    /// merge counter, which deduplicates on the fly. Slices are disjoint in
-    /// pair space, so their counts add up exactly; [`parallel_map`] drives
-    /// the slice (or, for single-slice collections, shard) enumeration with
-    /// [`default_threads`] workers, and the result is identical for every
-    /// worker count.
+    /// but nothing is sorted or merged. The member ids are mapped to dense
+    /// ranks, each block's ranks are sorted, and an inverted index lists, for
+    /// every rank, each block it sits in with its position there. A pair is
+    /// anchored on its larger id, whose partners in a block are the members
+    /// before it, and the partner-dedup kernel
+    /// (`SeenSet::distinct_partners`) keeps each partner once. The anchors
+    /// are cut into [`default_threads`] contiguous ranges of equal
+    /// redundant-pair mass, one per [`parallel_map`] worker; the counts are
+    /// sums, so they are identical for every worker count. Memory is
+    /// O(members) for the index plus one O(distinct members) seen-set per
+    /// worker — never O(|Γ|), and never O(largest id).
     pub fn stream_packed_counts<P: PackedProbe>(&self, probe: P) -> PairCounts {
-        let slices = self
-            .redundant_pair_count()
-            .div_ceil(STREAM_SLICE_TARGET_PAIRS)
-            .clamp(1, MAX_STREAM_SLICES as u64) as usize;
-        self.stream_packed_counts_sliced(slices, probe)
-    }
+        // Dense ranks: `ids[rank]` is the member id of that rank.
+        let mut ids: Vec<RecordId> = self.blocks.iter().flat_map(|block| block.members().iter().copied()).collect();
+        ids.sort_unstable();
+        ids.dedup();
 
-    /// [`BlockCollection::stream_packed_counts`] with an explicit slice
-    /// count, so tests can force the multi-slice path on small collections.
-    /// `slices` only affects the memory/rescan trade-off, never the counts.
-    pub fn stream_packed_counts_sliced<P: PackedProbe>(&self, slices: usize, probe: P) -> PairCounts {
-        if self.blocks.is_empty() {
-            return PairCounts::default();
-        }
-        let threads = default_threads();
-        if slices <= 1 {
-            // One slice covering all of pair space: build the sorted shard
-            // runs in parallel (exactly as `distinct_pairs` does) and fold
-            // them through the merge counter instead of merging into a vector.
-            let runs = self.packed_runs(threads);
-            return merge_count_packed_runs(&runs, &probe);
+        // Every block's members as ascending ranks, the blocks laid end to
+        // end. The rank of an id among distinct `u32` ids never exceeds the
+        // id, so it fits a `u32`.
+        let mut ranks: Vec<u32> = Vec::with_capacity(self.blocks.iter().map(Block::len).sum());
+        for block in &self.blocks {
+            let start = ranks.len();
+            ranks.extend(block.members().iter().map(|id| {
+                u32::try_from(ids.partition_point(|other| other < id)).expect("a rank never exceeds its id")
+            }));
+            ranks[start..].sort_unstable();
         }
 
-        // Sort each block's members once so that, inside every block, the
-        // members owning a slice (as the smaller id of a pair) form one
-        // contiguous range — enumeration then touches each pair exactly once
-        // across all slices, plus two binary searches per block per slice.
-        let sorted_members: Vec<Vec<RecordId>> = parallel_map(&self.blocks, threads, |block| {
-            let mut members = block.members().to_vec();
-            members.sort_unstable();
-            members
-        });
-        let slices = slices.clamp(1, MAX_STREAM_SLICES);
-        let bounds = slice_bounds(&sorted_members, slices);
-
-        let slice_ids: Vec<usize> = (0..slices).collect();
-        let counts = parallel_map(&slice_ids, threads, |&slice| {
-            let lo = bounds[slice];
-            let hi = bounds[slice + 1];
-            let mut runs: Vec<Vec<u64>> = Vec::new();
-            let mut anchor_ranges: Vec<(usize, usize)> = Vec::with_capacity(PAIR_SHARD_BLOCKS);
-            for shard in sorted_members.chunks(PAIR_SHARD_BLOCKS) {
-                // Members are sorted and deduplicated, so the pairs whose
-                // *smaller* id falls in [lo, hi) are exactly those anchored
-                // at positions [start, end) — and `members[i] < members[j]`
-                // for i < j, so the packed key needs no canonicalisation.
-                // The anchor at position i owns `len − 1 − i` pairs, which
-                // sizes the run exactly up front (no growth reallocations).
-                anchor_ranges.clear();
-                let mut capacity = 0usize;
-                for members in shard {
-                    let start = members.partition_point(|id| u64::from(id.0) < lo);
-                    let end = members.partition_point(|id| u64::from(id.0) < hi);
-                    anchor_ranges.push((start, end));
-                    let anchors = end - start;
-                    if anchors > 0 {
-                        capacity += anchors * (members.len() - 1) - anchors * (2 * start + anchors - 1) / 2;
-                    }
-                }
-                let mut keys: Vec<u64> = Vec::with_capacity(capacity);
-                for (members, &(start, end)) in shard.iter().zip(&anchor_ranges) {
-                    for i in start..end {
-                        let anchor = u64::from(members[i].0) << 32;
-                        for &other in &members[i + 1..] {
-                            keys.push(anchor | u64::from(other.0));
-                        }
-                    }
-                }
-                debug_assert_eq!(keys.len(), capacity);
-                radix_sort_packed(&mut keys);
-                keys.dedup();
-                if !keys.is_empty() {
-                    runs.push(keys);
-                }
+        // Inverted index: the entries of rank `r` are
+        // `index[offsets[r]..offsets[r + 1]]`, one `(start, position)` per
+        // block holding it, so its partners there are `ranks[start..position]`.
+        let mut offsets = vec![0usize; ids.len() + 1];
+        for &rank in &ranks {
+            offsets[rank as usize + 1] += 1;
+        }
+        let mut running = 0usize;
+        for offset in &mut offsets {
+            running += *offset;
+            *offset = running;
+        }
+        let mut index = vec![(0usize, 0usize); ranks.len()];
+        let mut fill = offsets.clone();
+        let mut start = 0usize;
+        for block in &self.blocks {
+            let end = start + block.len();
+            for position in start..end {
+                let slot = &mut fill[ranks[position] as usize];
+                index[*slot] = (start, position);
+                *slot += 1;
             }
-            merge_count_packed_runs(&runs, &probe)
+            start = end;
+        }
+        drop(fill);
+
+        // Contiguous anchor ranges of about equal redundant-pair mass: an
+        // anchor owns `position − start` pairs in each of its blocks, and the
+        // masses sum to the redundant pair count.
+        let threads = default_threads();
+        let total = u128::from(self.redundant_pair_count());
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
+        let mut first = 0usize;
+        let mut mass = 0u128;
+        for anchor in 0..ids.len() {
+            mass += index[offsets[anchor]..offsets[anchor + 1]]
+                .iter()
+                .map(|&(start, position)| (position - start) as u128)
+                .sum::<u128>();
+            let cuts = ranges.len() + 1;
+            if cuts < threads && mass * threads as u128 >= total * cuts as u128 {
+                ranges.push((first, anchor + 1));
+                first = anchor + 1;
+            }
+        }
+        ranges.push((first, ids.len()));
+        ranges.retain(|&(first, end)| first < end);
+
+        let counts = parallel_map(&ranges, threads, |&(first, end)| {
+            let mut seen = SeenSet::with_len(ids.len());
+            let mut counts = PairCounts::default();
+            for anchor in first..end {
+                let entries = &index[offsets[anchor]..offsets[anchor + 1]];
+                let larger = ids[anchor];
+                seen.distinct_partners(
+                    entries.iter().flat_map(|&(start, position)| ranks[start..position].iter().copied()),
+                    |partner| counts.tally(RecordPair::pack_ascending(ids[partner as usize], larger), &probe),
+                );
+            }
+            counts
         });
         counts.into_iter().fold(PairCounts::default(), PairCounts::add)
     }
@@ -849,55 +593,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_enumeration_matches_single_run() {
-        // More blocks than one shard (PAIR_SHARD_BLOCKS) with heavy overlap:
-        // the sharded, merged enumeration must equal a single sort-dedup pass.
-        let blocks: Vec<Block> = (0..(PAIR_SHARD_BLOCKS * 2 + 7))
-            .map(|i| {
-                let base = (i % 13) as u32;
-                Block::new(format!("b{i}"), vec![rid(base), rid(base + 1), rid(base + 2)])
-            })
-            .collect();
-        let collection = BlockCollection::from_blocks(blocks);
-        let reference: Vec<RecordPair> = packed_pair_run(collection.blocks())
-            .into_iter()
-            .map(RecordPair::from_packed)
-            .collect();
-        assert_eq!(collection.distinct_pairs(), reference);
-    }
-
-    #[test]
-    fn radix_sort_matches_comparison_sort() {
-        // Mixed magnitudes (small ids, huge ids, shared high halves) across
-        // the fallback threshold and beyond it.
-        let mut keys: Vec<u64> = Vec::new();
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for _ in 0..(RADIX_SORT_MIN * 3) {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = (state >> 40) as u32 % 50_000;
-            let b = a + 1 + (state as u32 % 1_000);
-            keys.push(RecordPair::pack_ascending(rid(a), rid(b)));
-        }
-        keys.push(pk(0, u32::MAX));
-        keys.push(pk(u32::MAX - 1, u32::MAX));
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        radix_sort_packed(&mut keys);
-        assert_eq!(keys, expected);
-
-        // Short input takes the comparison fallback; result is identical.
-        let mut short = vec![pk(5, 9), pk(0, 1), pk(5, 6)];
-        radix_sort_packed(&mut short);
-        assert_eq!(short, vec![pk(0, 1), pk(5, 6), pk(5, 9)]);
-        let mut empty: Vec<u64> = Vec::new();
-        radix_sort_packed(&mut empty);
-        assert!(empty.is_empty());
+    fn seen_set_keeps_first_occurrences_and_leaves_itself_clear() {
+        let mut seen = SeenSet::with_len(4);
+        let distinct = |seen: &mut SeenSet, partners: &[u32]| {
+            let mut kept = Vec::new();
+            seen.distinct_partners(partners.iter().copied(), |partner| kept.push(partner));
+            kept
+        };
+        assert_eq!(distinct(&mut seen, &[3, 1, 3, 0, 1]), [3, 1, 0]);
+        // The call cleared its marks, so the next anchor sees every id again.
+        assert_eq!(distinct(&mut seen, &[1, 1]), [1]);
+        assert!(distinct(&mut seen, &[]).is_empty());
+        seen.grow(6);
+        assert_eq!(distinct(&mut seen, &[5, 2, 5]), [5, 2]);
+        assert!(seen.marks.iter().all(|&mark| !mark));
     }
 
     #[test]
     fn streaming_counts_match_materialised_enumeration() {
-        // Overlap-heavy collection spanning several enumeration shards.
-        let blocks: Vec<Block> = (0..(PAIR_SHARD_BLOCKS * 2 + 7))
+        // Overlap-heavy collection: 13 distinct blocks, each repeated ~40 times.
+        let blocks: Vec<Block> = (0..519)
             .map(|i| {
                 let base = (i % 13) as u32;
                 Block::new(format!("b{i}"), vec![rid(base), rid(base + 1), rid(base + 2)])
@@ -906,15 +621,12 @@ mod tests {
         let collection = BlockCollection::from_blocks(blocks);
         let pairs = collection.distinct_pairs();
         let expected_matching = pairs.iter().filter(|p| p.first().0 % 2 == 0).count() as u64;
-        // Every slice count and every thread count yields identical counts.
-        for slices in [1, 2, 3, 7, 64] {
-            for threads in [1, 4] {
-                let counts = with_threads(threads, || {
-                    collection.stream_packed_counts_sliced(slices, |p: &RecordPair| p.first().0 % 2 == 0)
-                });
-                assert_eq!(counts.distinct, pairs.len() as u64, "slices={slices} threads={threads}");
-                assert_eq!(counts.matching, expected_matching, "slices={slices} threads={threads}");
-            }
+        // Every worker count yields identical counts.
+        for threads in [1, 2, 4] {
+            let counts =
+                with_threads(threads, || collection.stream_packed_counts(|p: &RecordPair| p.first().0 % 2 == 0));
+            assert_eq!(counts.distinct, pairs.len() as u64, "threads={threads}");
+            assert_eq!(counts.matching, expected_matching, "threads={threads}");
         }
         let auto = collection.stream_packed_counts(|p: &RecordPair| p.first().0 % 2 == 0);
         assert_eq!(auto.distinct, pairs.len() as u64);
@@ -931,83 +643,31 @@ mod tests {
             Block::new("a", vec![rid(1)]),
             Block::new("b", vec![rid(2)]),
         ]);
-        let counts = with_threads(4, || singletons.stream_packed_counts_sliced(8, |_: &RecordPair| true));
+        let counts = with_threads(4, || singletons.stream_packed_counts(|_: &RecordPair| true));
         assert_eq!(counts, PairCounts::default());
-        // A collection whose ids all collapse onto one value of pair space
-        // still splits safely (the slice count is capped by the id span).
+        // A single pair cannot be split over the workers; it is still
+        // counted once.
         let narrow = BlockCollection::from_blocks(vec![Block::new("n", vec![rid(5), rid(6)])]);
-        let counts = with_threads(4, || narrow.stream_packed_counts_sliced(64, |_: &RecordPair| true));
-        assert_eq!(counts, PairCounts { distinct: 1, matching: 1 });
+        for threads in [1, 2, 4] {
+            let counts = with_threads(threads, || narrow.stream_packed_counts(|_: &RecordPair| true));
+            assert_eq!(counts, PairCounts { distinct: 1, matching: 1 }, "threads={threads}");
+        }
     }
 
     #[test]
     fn streaming_counts_survive_skewed_id_layouts() {
-        // Dense ids plus one outlier near u32::MAX: mass-based boundaries
-        // must still spread the work and count exactly.
+        // Dense ids plus one outlier near u32::MAX: the dense ranks keep the
+        // seen-sets small, and mass-based ranges still count exactly.
         let mut blocks: Vec<Block> = (0..40)
             .map(|i| Block::new(format!("d{i}"), vec![rid(i), rid(i + 1), rid(i + 2)]))
             .collect();
         blocks.push(Block::new("outlier", vec![rid(7), rid(u32::MAX - 1)]));
         let collection = BlockCollection::from_blocks(blocks);
         let expected = collection.distinct_pairs().len() as u64;
-        for slices in [2usize, 8, 64] {
-            let counts = with_threads(4, || collection.stream_packed_counts_sliced(slices, |_: &RecordPair| false));
-            assert_eq!(counts.distinct, expected, "slices={slices}");
+        for threads in [1, 2, 4] {
+            let counts = with_threads(threads, || collection.stream_packed_counts(|_: &RecordPair| false));
+            assert_eq!(counts.distinct, expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn slice_bounds_balance_anchor_mass() {
-        // 64 two-member blocks with distinct anchors: 64 units of anchor
-        // mass. Four slices must cover everything, stay non-decreasing and
-        // put a fair share (here: exactly a quarter) in each slice.
-        let members: Vec<Vec<RecordId>> = (0..64u32).map(|i| vec![rid(10 * i), rid(10 * i + 1)]).collect();
-        let bounds = slice_bounds(&members, 4);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), u64::from(10u32 * 63 + 1) + 1);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        for slice in 0..4 {
-            let anchored = members
-                .iter()
-                .flat_map(|m| m.first())
-                .filter(|id| (bounds[slice]..bounds[slice + 1]).contains(&u64::from(id.0)))
-                .count();
-            assert_eq!(anchored, 16, "slice {slice} holds a quarter of the anchor mass");
-        }
-    }
-
-    #[test]
-    fn loser_tree_merge_deduplicates_across_runs() {
-        let runs = vec![
-            vec![pk(0, 1), pk(1, 2), pk(5, 6)],
-            vec![pk(0, 2), pk(1, 2), pk(7, 8)],
-            vec![pk(0, 1), pk(7, 8)],
-        ];
-        let counts = merge_count_packed_runs(&runs, &|p: &RecordPair| p.second().0 >= 6);
-        assert_eq!(counts.distinct, 5);
-        assert_eq!(counts.matching, 2);
-        assert_eq!(merge_count_packed_runs(&[], &|_: &RecordPair| true), PairCounts::default());
-        // Empty runs in the middle are skipped, not merged.
-        let with_empties = vec![vec![], vec![pk(0, 1)], vec![], vec![pk(0, 1), pk(2, 3)]];
-        let counts = merge_count_packed_runs(&with_empties, &|_: &RecordPair| false);
-        assert_eq!(counts.distinct, 2);
-    }
-
-    #[test]
-    fn loser_tree_merge_gallops_across_disjoint_runs() {
-        // Runs whose key ranges never interleave: the gallop path must emit
-        // each run wholesale and still produce the exact union.
-        let runs: Vec<Vec<u64>> = (0..5u32)
-            .map(|r| (0..200u32).map(|i| pk(1000 * r + i, 1000 * r + i + 1)).collect())
-            .collect();
-        let counts = merge_count_packed_runs(&runs, &|_: &RecordPair| true);
-        assert_eq!(counts.distinct, 1000);
-        assert_eq!(counts.matching, 1000);
-        // And interleaved single-element ties across many runs.
-        let tied: Vec<Vec<u64>> = (0..9).map(|_| vec![pk(3, 4)]).collect();
-        let counts = merge_count_packed_runs(&tied, &|_: &RecordPair| false);
-        assert_eq!(counts.distinct, 1);
     }
 
     #[test]
@@ -1025,8 +685,8 @@ mod tests {
 
     #[test]
     fn record_id_overflow_is_rejected_at_construction() {
-        // An id just over the boundary: u32::MAX packs into keys that collide
-        // with the merge sentinel, so checked construction must reject it.
+        // An id just over the boundary: u32::MAX is reserved so that an id
+        // space's length still fits a u32, so checked construction rejects it.
         let overflowing = vec![
             Block::new("ok", vec![rid(0), rid(1)]),
             Block::new("bad", vec![rid(3), rid(u32::MAX)]),

@@ -11,11 +11,10 @@ pub enum CoreError {
     Config(String),
     /// A taxonomy operation failed (unknown concept, malformed tree).
     Taxonomy(String),
-    /// A record id does not fit the packed-pair representation (ids must stay
-    /// at or below [`MAX_RECORD_ID`](crate::blocking::MAX_RECORD_ID); the
-    /// value `u32::MAX` is reserved as the merge sentinel). Blocking such an
-    /// id would silently corrupt packed pair counts, so it is rejected with
-    /// this typed error instead.
+    /// A record id beyond [`MAX_RECORD_ID`](crate::blocking::MAX_RECORD_ID).
+    /// The value `u32::MAX` is reserved so that an id space's length — the
+    /// incremental index's `next_id = last id + 1` — still fits a `u32`;
+    /// such an id is rejected with this typed error instead of wrapping.
     RecordIdOverflow(u64),
     /// An error bubbled up from the dataset layer.
     Dataset(DatasetError),

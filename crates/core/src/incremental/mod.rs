@@ -22,16 +22,17 @@
 //! candidate pairs**: every pair that is in Γ after the batch but was not
 //! before. Because a pair between two *old* records cannot appear by adding
 //! new records, the delta is exactly the set of bucket-sharing pairs that
-//! involve at least one new record — enumerable from the touched buckets
-//! alone. Deltas are carried as sorted, deduplicated packed-`u64` runs
-//! ([`RecordPair::pack`]), the same representation every bulk pair path of
-//! [`crate::blocking`] runs on, one run per band. The ingest fold that
-//! updates the running counters merges the runs into the delta's distinct
-//! keys in the same pass, **once per batch**, so [`DeltaPairs::counts`] and
-//! [`DeltaPairs::num_pairs`] never re-scan the redundant runs. Absent
-//! removals, deltas of successive batches are **disjoint**: summing
-//! per-batch [`PairCounts`] equals a from-scratch count of the merged whole,
-//! byte for byte.
+//! involve at least one new record — and new ids are above every old id, so
+//! the larger id of each such pair is a batch record. Ingest anchors the
+//! delta there: each batch record walks the buckets it just joined, and the
+//! partner-dedup kernel of [`crate::blocking`] keeps every live member below
+//! it once, so each new pair comes out exactly once with no sort and no
+//! merge. The delta is carried as its distinct packed-`u64` keys
+//! ([`RecordPair::pack`]), folded into the running counters as they are
+//! produced, so [`DeltaPairs::counts`] and [`DeltaPairs::num_pairs`] never
+//! see a repeated pair. Absent removals, deltas of successive batches are
+//! **disjoint**: summing per-batch [`PairCounts`] equals a from-scratch count
+//! of the merged whole, byte for byte.
 //!
 //! # Running counters
 //!
@@ -48,10 +49,10 @@
 //! [`IncrementalBlocker::remove`] tombstones a record and *subtracts its
 //! live contribution* from the running counters by walking only the buckets
 //! the record occupies (per-record bucket back-references kept at insert
-//! time), deduplicating across bands so each retired pair is subtracted
-//! exactly once. Tombstoned members linger in their buckets until the
-//! bucket's dead fraction crosses the compaction threshold
-//! ([`IncrementalSaLshBlocker::set_compaction_threshold`]), at which point
+//! time), with the record as the partner-dedup kernel's anchor, so each
+//! retired pair is subtracted exactly once. Tombstoned members linger in
+//! their buckets until the bucket's dead fraction crosses the compaction
+//! threshold ([`IncrementalSaLshBlocker::set_compaction_threshold`]), at which point
 //! the `(band, bucket)` shard is rebuilt in place — an observation-
 //! equivalent operation: snapshots, running counts and all future deltas are
 //! byte-identical with or without compaction (property-tested in
@@ -88,9 +89,7 @@ use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::record::RecordPair;
 use sablock_datasets::{DatasetError, Record, RecordId, Schema, MAX_RECORD_ID};
 
-use crate::blocking::{
-    merge_packed_runs_into, radix_sort_packed, BlockCollection, EntityTableProbe, PackedProbe, PairCounts,
-};
+use crate::blocking::{BlockCollection, EntityTableProbe, PackedProbe, PairCounts, SeenSet};
 use crate::error::{CoreError, Result};
 use crate::lsh::buckets::{key_runs, BucketKey, BucketScheme};
 use crate::lsh::{BandingScheme, SemanticConfig};
@@ -101,14 +100,13 @@ use crate::semantic::semhash::SemhashFamily;
 
 use band::{BandIndex, Bucket};
 
-/// The candidate pairs one ingest batch added to Γ, as sorted and
-/// individually deduplicated packed-`u64` runs (one run per band; a pair
-/// colliding in several bands appears in several runs), plus the
-/// **distinct** keys across all runs, which the ingest fold that maintains
-/// the blocker's [`RunningCounts`] merges in the same pass.
+/// The candidate pairs one ingest batch added to Γ, as distinct packed
+/// keys. They are grouped by anchor — the pair's larger id — ascending, and
+/// within an anchor come in first-seen walk order: the anchor's buckets in
+/// band order, members ascending in each. The order does not depend on the
+/// worker count or the compaction threshold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaPairs {
-    runs: Vec<Vec<u64>>,
     distinct: Vec<u64>,
 }
 
@@ -118,37 +116,24 @@ impl DeltaPairs {
         Self::default()
     }
 
-    /// A delta from its per-band runs and their merged distinct keys.
-    fn new(runs: Vec<Vec<u64>>, distinct: Vec<u64>) -> Self {
-        Self { runs: runs.into_iter().filter(|run| !run.is_empty()).collect(), distinct }
-    }
-
-    /// The sorted, deduplicated packed runs.
-    pub fn runs(&self) -> &[Vec<u64>] {
-        &self.runs
-    }
-
     /// Whether the delta holds no pairs at all.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.distinct.is_empty()
     }
 
-    /// The delta's distinct packed pair keys in ascending order.
+    /// The delta's distinct packed pair keys, in delta order (see
+    /// [`DeltaPairs`]).
     pub fn distinct_packed(&self) -> &[u64] {
         &self.distinct
     }
 
-    /// Counts the delta's distinct pairs, probing each **exactly once** over
-    /// the distinct keys — never over the redundant per-band runs
-    /// (regression-tested in this module).
+    /// Counts the delta's distinct pairs, probing each **exactly once**.
     pub fn counts<P: PackedProbe>(&self, probe: &P) -> PairCounts {
-        let mut matching = 0u64;
+        let mut counts = PairCounts::default();
         for &key in &self.distinct {
-            if probe.matches(key) {
-                matching += 1;
-            }
+            counts.tally(key, probe);
         }
-        PairCounts { distinct: self.num_pairs(), matching }
+        counts
     }
 
     /// Number of distinct pairs in the delta — O(1).
@@ -156,9 +141,9 @@ impl DeltaPairs {
         self.distinct.len() as u64
     }
 
-    /// Materialises the delta's distinct pairs in ascending order (tests,
+    /// Materialises the delta's distinct pairs in delta order (tests,
     /// goldens, small deltas — bulk consumers should stay on the packed
-    /// runs).
+    /// keys).
     pub fn pairs(&self) -> Vec<RecordPair> {
         self.distinct.iter().copied().map(RecordPair::from_packed).collect()
     }
@@ -238,11 +223,10 @@ struct BucketRef {
 
 /// What one band's ingest worker hands back: the `(bucket key, record)`
 /// placements it applied to its own band (sorted by key, ids ascending
-/// within a key — the source of the back-references), the band's sorted,
-/// deduplicated delta run, and how many shared sub-maps it had to copy.
+/// within a key — the source of the back-references) and how many shared
+/// sub-maps it had to copy.
 struct BandOutcome {
     touched: Vec<(BucketKey, RecordId)>,
-    delta_run: Vec<u64>,
     cow_copies: u64,
 }
 
@@ -288,6 +272,11 @@ pub struct IncrementalSaLshBlocker {
     next_id: u32,
     removed: Vec<bool>,
     removed_count: usize,
+    /// The partner-dedup kernel's seen-set, grown with the id space and all
+    /// clear between calls, so a one-thread insert or removal allocates and
+    /// clears nothing proportional to the corpus. Runtime-only: not part of
+    /// [`IndexDump`] or [`IndexView`].
+    seen: SeenSet,
     last_delta: DeltaPairs,
     batches_ingested: usize,
     /// Every packed pair key any batch's delta has ever reported — the
@@ -338,6 +327,7 @@ impl IncrementalSaLshBlocker {
             next_id: 0,
             removed: Vec::new(),
             removed_count: 0,
+            seen: SeenSet::default(),
             last_delta: DeltaPairs::empty(),
             batches_ingested: 0,
             #[cfg(feature = "check-invariants")]
@@ -576,51 +566,27 @@ impl IncrementalSaLshBlocker {
             self.entity_of.extend_from_slice(entities);
         }
 
-        // Each band is independent, so placements, delta pairs and the band
-        // update itself run per band in parallel (`parallel_map_mut` — each
-        // worker owns its band), with outcomes stitched back in ascending
-        // band order so every derived structure is deterministic for any
-        // worker count.
-        let removed: &[bool] = &self.removed;
+        // Each band is independent, so placements and the band update run
+        // per band in parallel (`parallel_map_mut` — each worker owns its
+        // band), with outcomes stitched back in ascending band order so every
+        // derived structure is deterministic for any worker count.
         let scheme = &self.scheme;
         let mut shards: Vec<(usize, &mut Arc<BandIndex>)> = self.bands.iter_mut().enumerate().collect();
         let outcomes: Vec<BandOutcome> = parallel_map_mut(&mut shards, threads, |(band, index)| {
             // Placements grouped by bucket key, ids ascending within a key
             // (the batch arrives in id order and the sort key ends on the
-            // id).
+            // id), appended with one O(1) bucket lookup per touched bucket,
+            // in a sub-map copied first only if a published view still
+            // shares it; untouched sub-maps are never rewritten.
             let slots = scheme.placements(*band, records, &minhashes, semhashes.as_deref());
-
-            // Delta pairs of this band: existing live members × new members,
-            // plus the new-member pairs, per touched bucket. Old ids are all
-            // smaller than new ids and members are ascending, so every pair
-            // packs ascending without canonicalisation. The band update
-            // itself happens in the same pass: one O(1) bucket lookup per
-            // touched bucket, in a sub-map copied first only if a published
-            // view still shares it; untouched sub-maps are never rewritten.
             let index = Arc::make_mut(index);
-            let mut delta_run: Vec<u64> = Vec::new();
             let mut cow_copies = 0u64;
             for new_members in key_runs(&slots) {
                 let key = new_members[0].0;
                 let bucket = index.sub_map_mut(&key, &mut cow_copies).entry(key).or_default();
-                for &old in &bucket.members {
-                    if removed[old.index()] {
-                        continue;
-                    }
-                    for &(_, new) in new_members {
-                        delta_run.push(RecordPair::pack_ascending(old, new));
-                    }
-                }
-                for (i, &(_, a)) in new_members.iter().enumerate() {
-                    for &(_, b) in &new_members[i + 1..] {
-                        delta_run.push(RecordPair::pack_ascending(a, b));
-                    }
-                }
                 bucket.members.extend(new_members.iter().map(|&(_, id)| id));
             }
-            radix_sort_packed(&mut delta_run);
-            delta_run.dedup();
-            BandOutcome { touched: slots, delta_run, cow_copies }
+            BandOutcome { touched: slots, cow_copies }
         });
         drop(shards);
 
@@ -633,46 +599,89 @@ impl IncrementalSaLshBlocker {
         }
         self.removed.resize(self.next_id as usize, false);
         self.bucket_refs.resize(self.next_id as usize, Vec::new());
+        self.seen.grow(self.next_id as usize);
 
         // Back-references accumulate in band order, then key order within a
         // band (`touched` is sorted) — deterministic for any worker count.
-        let mut runs: Vec<Vec<u64>> = Vec::with_capacity(outcomes.len());
         for (band, outcome) in outcomes.into_iter().enumerate() {
             for &(key, id) in &outcome.touched {
                 self.bucket_refs[id.index()].push(BucketRef { band, key });
             }
-            runs.push(outcome.delta_run);
             self.cow_copies += outcome.cow_copies;
         }
 
-        // Fold the delta into the running counters in the same single merge
-        // pass that collects the delta's distinct keys — the merge over the
-        // redundant runs happens exactly once per batch.
-        let mut merged: Vec<u64> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        let mut batch_counts = PairCounts::default();
-        {
-            let probe = EntityTableProbe::new(&self.entity_of);
-            merge_packed_runs_into(&runs, |segment| {
-                batch_counts.distinct += segment.len() as u64;
-                for &key in segment {
-                    if probe.matches(key) {
-                        batch_counts.matching += 1;
-                    }
-                }
-                merged.extend_from_slice(segment);
-            });
+        // The delta, anchored on each batch record: its partners are the live
+        // members below it in the buckets it joined (members ascend, so each
+        // walk stops at the anchor), and the kernel keeps each one once. The
+        // batch is split evenly over the workers, whose keys are concatenated
+        // in anchor order and whose counts are summed. The first worker uses
+        // the blocker's seen-set and writes into the previous delta's
+        // allocation (fresh pages cost more than the walk itself); only the
+        // extra workers of a parallel batch allocate their own.
+        let chunk = records.len().div_ceil(threads);
+        let extra = records.len().div_ceil(chunk) - 1;
+        let mut recycled = std::mem::take(&mut self.last_delta.distinct);
+        recycled.clear();
+        let first = (std::mem::take(&mut self.seen), recycled);
+        let extras = (0..extra).map(|_| (SeenSet::with_len(self.next_id as usize), Vec::new()));
+        let mut shares: Vec<_> = records.chunks(chunk).zip(std::iter::once(first).chain(extras)).collect();
+        let (bands, refs, removed) = (&self.bands, &self.bucket_refs, &self.removed);
+        let probe = EntityTableProbe::new(&self.entity_of);
+        let counts: Vec<PairCounts> = parallel_map_mut(&mut shares, threads, |(anchors, (seen, keys))| {
+            let mut counts = PairCounts::default();
+            for anchor in anchors.iter().map(Record::id) {
+                seen.distinct_partners(
+                    referenced_buckets(bands, &refs[anchor.index()]).flat_map(|bucket| {
+                        let below = bucket.members.partition_point(|&member| member < anchor);
+                        live(bucket, &bucket.members[..below], removed)
+                    }),
+                    |partner| {
+                        let key = RecordPair::pack_ascending(RecordId(partner), anchor);
+                        counts.tally(key, &probe);
+                        keys.push(key);
+                    },
+                );
+            }
+            counts
+        });
+        let mut outputs = shares.into_iter().map(|(_, output)| output);
+        let (seen, mut distinct) = outputs.next().unwrap_or_default();
+        self.seen = seen;
+        for (_, mut keys) in outputs {
+            distinct.append(&mut keys);
         }
-        self.running.pairs += batch_counts.distinct;
-        self.running.true_positives += batch_counts.matching;
-        self.last_delta = DeltaPairs::new(runs, merged);
+        for batch in counts {
+            self.running.pairs += batch.distinct;
+            self.running.true_positives += batch.matching;
+        }
+        // A small delta after a bulk one hands the bulk allocation back.
+        if distinct.len() < distinct.capacity() / 4 {
+            distinct.shrink_to_fit();
+        }
+        self.last_delta = DeltaPairs { distinct };
         self.batches_ingested += 1;
         #[cfg(feature = "check-invariants")]
         {
             crate::invariants::check_delta_disjoint(&mut self.emitted_delta_keys, &self.last_delta);
             crate::invariants::check_tombstones(&self.removed, self.removed_count, self.next_id);
+            crate::invariants::check_seen_clear(self.seen.marks(), self.next_id);
         }
         Ok(&self.last_delta)
     }
+}
+
+/// The live members of `members`, a slice of `bucket`. A bucket holding no
+/// tombstone skips the per-member lookup in the tombstone flags.
+fn live<'a>(bucket: &Bucket, members: &'a [RecordId], removed: &'a [bool]) -> impl Iterator<Item = u32> + 'a {
+    let dead = bucket.dead > 0;
+    members.iter().filter(move |member| !(dead && removed[member.index()])).map(|member| member.0)
+}
+
+/// The buckets `refs` points at, in back-reference order: band order, then
+/// key order within a band. Their members are what the partner-dedup kernel
+/// walks for a record.
+fn referenced_buckets<'a>(bands: &'a [Arc<BandIndex>], refs: &'a [BucketRef]) -> impl Iterator<Item = &'a Bucket> + 'a {
+    refs.iter().filter_map(|reference| bands[reference.band].get(&reference.key))
 }
 
 impl IncrementalBlocker for IncrementalSaLshBlocker {
@@ -705,39 +714,31 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         self.removed[id.index()] = true;
         self.removed_count += 1;
 
-        // The record's live pairs, enumerated from only the buckets it
-        // occupies. The same pair can co-occur in several buckets/bands, so
-        // sort + dedup before subtracting — each retired pair exactly once.
-        // Pairs with partners tombstoned earlier were already subtracted at
-        // *their* removal and are skipped here.
+        // The record's live pairs, from only the buckets it occupies, with
+        // the record as the kernel's anchor: a pair co-occurring in several
+        // buckets is retired exactly once. Partners tombstoned earlier were
+        // already subtracted at *their* removal and are skipped here, as is
+        // the record itself (its buckets do not count it dead yet).
         let refs = std::mem::take(&mut self.bucket_refs[id.index()]);
-        let mut retired: Vec<u64> = Vec::new();
-        for reference in &refs {
-            if let Some(bucket) = self.bands[reference.band].get(&reference.key) {
-                for &member in &bucket.members {
-                    if self.removed[member.index()] {
-                        continue;
-                    }
-                    let (a, b) = if member < id { (member, id) } else { (id, member) };
-                    retired.push(RecordPair::pack_ascending(a, b));
-                }
-            }
-        }
-        radix_sort_packed(&mut retired);
-        retired.dedup();
-        let mut retired_matching = 0u64;
+        let mut retired = PairCounts::default();
         {
+            let (bands, removed) = (&self.bands, &self.removed);
             let probe = EntityTableProbe::new(&self.entity_of);
-            for &key in &retired {
-                if probe.matches(key) {
-                    retired_matching += 1;
-                }
-            }
+            self.seen.distinct_partners(
+                referenced_buckets(bands, &refs)
+                    .flat_map(|bucket| live(bucket, &bucket.members, removed))
+                    .filter(|&member| member != id.0),
+                |partner| {
+                    let partner = RecordId(partner);
+                    let (a, b) = if partner < id { (partner, id) } else { (id, partner) };
+                    retired.tally(RecordPair::pack_ascending(a, b), &probe);
+                },
+            );
         }
-        crate::invariants::check_counter_subtraction(self.running.pairs, retired.len() as u64, "running |Γ|");
-        crate::invariants::check_counter_subtraction(self.running.true_positives, retired_matching, "running |Γ_tp|");
-        self.running.pairs -= retired.len() as u64;
-        self.running.true_positives -= retired_matching;
+        crate::invariants::check_counter_subtraction(self.running.pairs, retired.distinct, "running |Γ|");
+        crate::invariants::check_counter_subtraction(self.running.true_positives, retired.matching, "running |Γ_tp|");
+        self.running.pairs -= retired.distinct;
+        self.running.true_positives -= retired.matching;
 
         // Tombstone accounting per touched bucket, with bucket-local
         // compaction once the dead fraction reaches the threshold. Only the
@@ -768,7 +769,10 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         }
         self.compactions += compacted;
         #[cfg(feature = "check-invariants")]
-        crate::invariants::check_tombstones(&self.removed, self.removed_count, self.next_id);
+        {
+            crate::invariants::check_tombstones(&self.removed, self.removed_count, self.next_id);
+            crate::invariants::check_seen_clear(self.seen.marks(), self.next_id);
+        }
         Ok(true)
     }
 
@@ -908,9 +912,6 @@ mod tests {
         let mut seen: Vec<RecordPair> = Vec::new();
         for chunk in dataset.records().chunks(2) {
             let delta = incremental.insert_batch(chunk).unwrap();
-            for run in delta.runs() {
-                assert!(run.windows(2).all(|w| w[0] < w[1]), "runs are strictly ascending");
-            }
             let pairs = delta.pairs();
             assert_eq!(pairs.len() as u64, delta.num_pairs());
             for pair in &pairs {
@@ -1065,12 +1066,12 @@ mod tests {
 
         let dataset = sample_dataset();
         let mut incremental = lsh_builder().into_incremental().unwrap();
-        let delta = incremental.insert_batch(dataset.records()).unwrap();
-        let run_entries: usize = delta.runs().iter().map(Vec::len).sum();
+        let delta = incremental.insert_batch(dataset.records()).unwrap().clone();
+        let snapshot = incremental.snapshot();
         let distinct = delta.num_pairs();
         assert!(
-            run_entries as u64 > distinct,
-            "the sample collides in several bands, so the runs repeat pairs"
+            snapshot.redundant_pair_count() > distinct,
+            "the sample has a pair in two or more snapshot blocks"
         );
         assert_eq!(delta.distinct_packed().len() as u64, distinct);
 
@@ -1078,7 +1079,46 @@ mod tests {
         assert_eq!(delta.counts(&probe).distinct, distinct);
         assert_eq!(probe.0.load(Ordering::Relaxed), distinct, "each distinct pair probed once, not per run entry");
         delta.counts(&probe);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 2 * distinct, "a second count never re-scans the runs");
+        assert_eq!(probe.0.load(Ordering::Relaxed), 2 * distinct, "a second count probes each pair once again");
+    }
+
+    /// The kernel's write paths against an oracle taken before the write:
+    /// `query_candidates` of a row about to be inserted is exactly its
+    /// partner set, so a one-row insert's delta is {(c, new) : c ∈
+    /// candidates}; and `query_candidates` of a live record is its partner
+    /// set, so removing it subtracts exactly that many pairs, and of those
+    /// its annotated matches from |Γ_tp|.
+    #[test]
+    fn one_row_writes_match_the_candidates_taken_before_the_write() {
+        let dataset = sample_dataset();
+        let entities: Vec<EntityId> = dataset.ground_truth().entity_table().to_vec();
+        let schema = Arc::clone(dataset.records()[0].schema());
+        let (_, mut incremental) = salsh_pair();
+        let mut saw_partners = false;
+        for (record, &entity) in dataset.records().iter().zip(&entities) {
+            let candidates = incremental.query_candidates(record).unwrap();
+            let delta = incremental
+                .insert_values_with_entities(&schema, vec![record.values().to_vec()], &[entity])
+                .unwrap();
+            let mut got: Vec<RecordPair> = delta.pairs();
+            got.sort_unstable();
+            let expected: Vec<RecordPair> =
+                candidates.iter().map(|&c| RecordPair::new(c, record.id()).unwrap()).collect();
+            assert_eq!(got, expected, "insert of {}", record.id());
+            saw_partners |= !expected.is_empty();
+        }
+        assert!(saw_partners, "some insert pairs with earlier records");
+
+        for victim in [4u32, 0, 7, 1] {
+            let victim = RecordId(victim);
+            let candidates = incremental.query_candidates(&dataset.records()[victim.index()]).unwrap();
+            let matches = candidates.iter().filter(|c| entities[c.index()] == entities[victim.index()]).count() as u64;
+            let before = incremental.running_counts();
+            incremental.remove(victim).unwrap();
+            let after = incremental.running_counts();
+            assert_eq!(before.pairs - after.pairs, candidates.len() as u64, "remove of {victim}");
+            assert_eq!(before.true_positives - after.true_positives, matches, "remove of {victim}");
+        }
     }
 
     #[test]

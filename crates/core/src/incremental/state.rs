@@ -204,6 +204,7 @@ impl IncrementalSaLshBlocker {
         self.next_id = next_id;
         self.removed = dump.removed;
         self.removed_count = removed_count;
+        self.seen.grow(dumped_len);
         self.last_delta = DeltaPairs::empty();
         self.batches_ingested = batches_ingested;
         // `check-invariants` builds: the cross-batch disjointness set starts

@@ -6,16 +6,14 @@
 //! the actual data structures that no token-level rule can prove. The
 //! invariants wired through the blocking and incremental paths are:
 //!
-//! * **packed runs strictly ascending** — every run handed to the
-//!   loser-tree merge is sorted and deduplicated ([`assert_strictly_ascending`]),
-//!   and [`crate::blocking::radix_sort_packed`] leaves its input
-//!   nondecreasing ([`assert_sorted`]);
-//! * **merge emissions nondecreasing** — the galloping loser-tree merge
-//!   emits a strictly ascending stream of distinct keys
-//!   ([`check_emission_monotone`]);
-//! * **per-batch deltas pairwise disjoint** — no candidate pair is ever
-//!   reported by two different ingest batches ([`check_delta_disjoint`]),
-//!   the property that makes cumulative delta counts exact;
+//! * **per-batch deltas distinct and pairwise disjoint** — no candidate pair
+//!   repeats within one ingest batch's delta, and none is ever reported by
+//!   two different batches ([`check_delta_disjoint`]), the property that
+//!   makes cumulative delta counts exact;
+//! * **seen-set left clear** — after every insert and removal, the
+//!   partner-dedup kernel has cleared every mark it set, and the blocker's
+//!   seen-set covers the whole id space ([`check_seen_clear`]), so the next
+//!   one-thread write needs no reset proportional to the corpus;
 //! * **tombstone set ⊆ inserted ids** — the removal bitmap covers exactly
 //!   the assigned id range and agrees with the removal counter
 //!   ([`check_tombstones`]);
@@ -33,75 +31,34 @@
 //! the feature enabled (`cargo test -q --features
 //! sablock_core/check-invariants`).
 
-/// Asserts that a packed run is nondecreasing — what
-/// [`crate::blocking::radix_sort_packed`] guarantees before deduplication.
-#[inline]
-#[allow(unused_variables)]
-pub(crate) fn assert_sorted(run: &[u64], context: &str) {
-    #[cfg(feature = "check-invariants")]
-    for window in run.windows(2) {
-        assert!(
-            window[0] <= window[1],
-            "check-invariants: {context}: packed run not sorted ({:#x} > {:#x})",
-            window[0],
-            window[1],
-        );
-    }
-}
-
-/// Asserts that a packed run is strictly ascending (sorted *and*
-/// deduplicated) — the precondition every loser-tree merge consumer relies
-/// on for its duplicate-dropping logic.
-#[inline]
-#[allow(unused_variables)]
-pub(crate) fn assert_strictly_ascending(run: &[u64], context: &str) {
-    #[cfg(feature = "check-invariants")]
-    for window in run.windows(2) {
-        assert!(
-            window[0] < window[1],
-            "check-invariants: {context}: packed run not strictly ascending ({:#x} !< {:#x})",
-            window[0],
-            window[1],
-        );
-    }
-}
-
-/// Checks one emitted merge segment against the running high-water mark:
-/// segments must be internally strictly ascending and start strictly above
-/// everything emitted before them, so the merged stream as a whole is a
-/// strictly ascending sequence of distinct keys.
-#[cfg(feature = "check-invariants")]
-pub(crate) fn check_emission_monotone(last: &mut Option<u64>, segment: &[u64]) {
-    assert_strictly_ascending(segment, "merge emission segment");
-    if let (Some(prev), Some(&first)) = (*last, segment.first()) {
-        assert!(
-            prev < first,
-            "check-invariants: merge emitted {first:#x} at or below the previous emission {prev:#x}",
-        );
-    }
-    if let Some(&key) = segment.last() {
-        *last = Some(key);
-    }
-}
-
-/// Checks that a freshly built per-batch delta is disjoint from every delta
-/// emitted before it, folding the delta's distinct keys into the blocker's
-/// lifetime set. Within one delta the same pair may legitimately appear in
-/// several band runs; across batches each pair must be reported exactly
-/// once.
+/// Checks that a freshly built per-batch delta repeats no key and is
+/// disjoint from every delta emitted before it, folding the delta's keys
+/// into the blocker's lifetime set: each pair is reported exactly once,
+/// within a batch and across batches.
 #[cfg(feature = "check-invariants")]
 pub(crate) fn check_delta_disjoint(
     emitted: &mut std::collections::BTreeSet<u64>,
     delta: &crate::incremental::DeltaPairs,
 ) {
-    let mut fresh: Vec<u64> = Vec::new();
-    crate::blocking::merge_packed_runs_into(delta.runs(), |segment| fresh.extend_from_slice(segment));
-    for key in fresh {
+    for &key in delta.distinct_packed() {
         assert!(
             emitted.insert(key),
-            "check-invariants: delta pair {key:#x} was already emitted by an earlier batch",
+            "check-invariants: delta pair {key:#x} was already emitted, earlier in this batch or by an earlier batch",
         );
     }
+}
+
+/// Checks the blocker's partner-dedup seen-set between calls: it covers the
+/// assigned id range `0..next_id` and every mark is clear.
+#[cfg(feature = "check-invariants")]
+pub(crate) fn check_seen_clear(marks: &[bool], next_id: u32) {
+    assert!(
+        marks.len() >= next_id as usize,
+        "check-invariants: the seen-set covers {} ids but {next_id} were assigned",
+        marks.len(),
+    );
+    let marked = marks.iter().filter(|&&mark| mark).count();
+    assert!(marked == 0, "check-invariants: {marked} seen-set marks left set after a write");
 }
 
 /// Checks the tombstone invariants of the incremental blocker: the removal
@@ -166,18 +123,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accepts_good_runs() {
-        assert_sorted(&[1, 1, 2, 9], "test");
-        assert_strictly_ascending(&[1, 2, 9], "test");
-        let mut last = None;
-        check_emission_monotone(&mut last, &[1, 2]);
-        check_emission_monotone(&mut last, &[5, 9]);
+    fn accepts_good_state() {
+        let mut emitted = std::collections::BTreeSet::new();
+        check_seen_clear(&[false, false, false], 3);
+        check_seen_clear(&[false, false, false], 2);
+        check_delta_disjoint(&mut emitted, &crate::incremental::DeltaPairs::empty());
+        assert!(emitted.is_empty());
         check_tombstones(&[true, false, true], 2, 3);
         check_counter_subtraction(10, 10, "test");
         check_counter_subtraction(10, 0, "test");
         let ids = [sablock_datasets::RecordId(0), sablock_datasets::RecordId(1)];
         check_bucket_tombstones(&ids, 1, &[true, false], "test");
         check_bucket_tombstones(&ids, 0, &[false, false], "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "1 seen-set marks left set")]
+    fn trips_on_a_dirty_seen_set() {
+        check_seen_clear(&[false, true], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "seen-set covers 1 ids")]
+    fn trips_on_a_seen_set_short_of_the_id_space() {
+        check_seen_clear(&[false], 2);
     }
 
     #[test]
@@ -191,26 +160,6 @@ mod tests {
     fn trips_on_bucket_dead_counter_mismatch() {
         let ids = [sablock_datasets::RecordId(0), sablock_datasets::RecordId(1)];
         check_bucket_tombstones(&ids, 2, &[true, false], "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "not sorted")]
-    fn trips_on_unsorted_run() {
-        assert_sorted(&[2, 1], "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "not strictly ascending")]
-    fn trips_on_duplicate_key() {
-        assert_strictly_ascending(&[1, 1], "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "at or below the previous emission")]
-    fn trips_on_non_monotone_emission() {
-        let mut last = None;
-        check_emission_monotone(&mut last, &[5, 9]);
-        check_emission_monotone(&mut last, &[7]);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! * **banding/buckets** — each of the `l` bands builds an independent
 //!   bucket index, so the bucket phase shards per band and merges the
 //!   per-band block lists back in ascending band order;
-//! * **pair enumeration and counting** — `BlockCollection::distinct_pairs`
-//!   sorts and dedups pair shards independently before a sorted merge, and
-//!   the streaming counter `BlockCollection::stream_packed_counts` runs one
-//!   worker per pair-space slice, each folding its shard runs through a
-//!   deduplicating k-way merge;
+//! * **pair counting** — the streaming counter
+//!   `BlockCollection::stream_packed_counts` cuts the anchor records into one
+//!   contiguous range of equal redundant-pair mass per worker, each running
+//!   the partner-dedup kernel with its own seen-set, and sums the counts;
 //! * **baseline bucket construction** — the suffix-array, q-gram,
 //!   sorted-neighbourhood, canopy and string-map baselines index record
 //!   chunks in parallel and merge the per-chunk results back in chunk order;
@@ -23,8 +22,10 @@
 //!   `(pair, block)` entries per 256-block chunk in parallel before one
 //!   sorted merge;
 //! * **incremental ingest** — a batch's signatures go through
-//!   [`parallel_map`], and each band's bucket map is updated by its own
-//!   worker through [`parallel_map_mut`], outcomes stitched in band order.
+//!   [`parallel_map`], each band's bucket map is updated by its own worker
+//!   through [`parallel_map_mut`], outcomes stitched in band order, and the
+//!   batch's delta anchors are split evenly over [`parallel_map_mut`] workers,
+//!   their keys concatenated in anchor order.
 //!
 //! Every path sizes itself on the calling thread, through
 //! [`resolve_threads`] (parallel from [`PARALLEL_THRESHOLD`] records up) or

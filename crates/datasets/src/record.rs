@@ -10,10 +10,10 @@ use crate::schema::Schema;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u32);
 
-/// The largest record id the packed-pair fast path can represent:
-/// `u32::MAX` itself is reserved — `u64::MAX` doubles as the exhausted-run
-/// sentinel of the loser-tree merge, so a pair of ids at `u32::MAX` must
-/// never be packable. Construction paths that assign ids
+/// The largest record id any dataset, block collection or index may hold:
+/// `u32::MAX` itself is reserved so that the length of a dense id space —
+/// the incremental index's `next_id = last id + 1`, a dataset's record
+/// count — always fits a `u32`. Construction paths that assign ids
 /// ([`crate::dataset::DatasetBuilder`], the incremental blocker) reject ids
 /// beyond this bound with a typed `RecordIdOverflow` error instead of
 /// truncating.
@@ -317,7 +317,7 @@ mod tests {
     fn record_id_width_is_validated() {
         assert_eq!(RecordId::try_from_index(0).unwrap(), RecordId(0));
         assert_eq!(RecordId::try_from_index(MAX_RECORD_ID as usize).unwrap(), RecordId(MAX_RECORD_ID));
-        // One past the boundary: the id that would alias the merge sentinel.
+        // One past the boundary: the reserved id, whose successor overflows u32.
         let err = RecordId::try_from_index(MAX_RECORD_ID as usize + 1).unwrap_err();
         assert!(matches!(err, DatasetError::RecordIdOverflow(id) if id == u64::from(u32::MAX)));
     }

@@ -34,14 +34,13 @@ impl BlockingMetrics {
     /// Evaluates a block collection against ground truth.
     ///
     /// Γ is never materialised: `|Γ|` and `|Γ_tp|` come from
-    /// [`BlockCollection::stream_packed_counts`], which folds per-shard
-    /// radix-sorted packed pair runs through the deduplicating
-    /// loser-tree/galloping merge counter and probes ground truth once per
-    /// distinct pair through [`EntityTableProbe`] — a dense record → entity
-    /// table, so the match test inside the merge loop is two array loads and
-    /// one compare. The memory high-water mark of evaluating paper-scale
-    /// collections is one pair-space slice per worker instead of the whole
-    /// candidate-pair set.
+    /// [`BlockCollection::stream_packed_counts`], which anchors every pair on
+    /// its larger id, keeps each anchor's partners once through the
+    /// partner-dedup kernel, and probes ground truth once per distinct pair
+    /// through [`EntityTableProbe`] — a dense record → entity table, so the
+    /// match test is two array loads and one compare. Evaluating a
+    /// paper-scale collection holds an inverted index of its memberships and
+    /// one seen-set per worker, never the candidate-pair set.
     pub fn evaluate(blocks: &BlockCollection, truth: &GroundTruth) -> Self {
         let counts = blocks.stream_packed_counts(EntityTableProbe::new(truth.entity_table()));
         Self {

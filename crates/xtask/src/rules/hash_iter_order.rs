@@ -44,7 +44,6 @@ const ORDER_RESTORERS: &[&str] = &[
     "sort_unstable_by",
     "sort_unstable_by_key",
     "sort_by_cached_key",
-    "radix_sort_packed",
     "BTreeMap",
     "BTreeSet",
     "BinaryHeap",

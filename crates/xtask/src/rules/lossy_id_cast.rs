@@ -2,10 +2,10 @@
 //! statements.
 //!
 //! The PR-5 hazard this guards: a record index silently truncated by `as
-//! u32` can land on `u32::MAX`, which packs into the `u64::MAX`
-//! exhausted-run sentinel of the loser-tree merge and corrupts pair counts
-//! without any error. Checked conversions ([`RecordId::try_from_index`],
-//! `u32::try_from`) surface the overflow as a typed error instead. `as u64`
+//! u32` wraps to the wrong record, or lands on the reserved `u32::MAX` id
+//! whose successor does not fit the id space, without any error. Checked
+//! conversions ([`RecordId::try_from_index`], `u32::try_from`) surface the
+//! overflow as a typed error instead. `as u64`
 //! is included because widening an id and then re-narrowing elsewhere is the
 //! same bug split across two lines — id flow should stay in checked or
 //! `From`-based conversions throughout.
@@ -40,8 +40,8 @@ pub(super) fn check(file: &FileTokens<'_>, findings: &mut Vec<Finding>) {
         findings.push(Finding {
             rule: "lossy-id-cast",
             message: format!(
-                "`as {}` on a record-id-flavoured expression — a silent truncation here can alias the \
-                 u32::MAX merge sentinel (use RecordId::try_from_index / try_from / From)",
+                "`as {}` on a record-id-flavoured expression — a silent truncation here can land on the \
+                 reserved u32::MAX id (use RecordId::try_from_index / try_from / From)",
                 target.text
             ),
             line: tokens[i].line,

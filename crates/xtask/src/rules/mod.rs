@@ -53,7 +53,7 @@ pub const RULES: &[Rule] = &[
         name: "lossy-id-cast",
         applies: lib_example_bench,
         check: lossy_id_cast::check,
-        help: "`as` narrowing can silently alias the u32::MAX merge sentinel: use \
+        help: "`as` narrowing can silently land on the reserved u32::MAX id: use \
                RecordId::try_from_index / u32::try_from, or add `// sablock-lint: allow(lossy-id-cast): \
                <why the value provably fits>`",
     },

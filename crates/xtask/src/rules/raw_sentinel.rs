@@ -1,9 +1,9 @@
 //! `raw-sentinel`: raw `u32::MAX` / `0xFFFF_FFFF` literals in record-id or
 //! packing contexts.
 //!
-//! `u32::MAX` is load-bearing: it is the reserved record id whose packed
-//! form collides with the `u64::MAX` exhausted-run sentinel of the
-//! loser-tree merge, which is why `MAX_RECORD_ID == u32::MAX - 1` exists.
+//! `u32::MAX` is load-bearing: it is the reserved record id, kept free so
+//! that a dense id space's length (`next_id = last id + 1`) always fits a
+//! `u32`, which is why `MAX_RECORD_ID == u32::MAX - 1` exists.
 //! Code that spells the boundary as a raw literal instead of the named
 //! constant silently decouples from that invariant — if the sentinel ever
 //! moved, grep would not find the stragglers. The rule fires on `u32::MAX`

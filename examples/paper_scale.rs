@@ -18,10 +18,11 @@
 //! 2. **Parallel blocking** — signatures are computed per record and the
 //!    banding/bucket phase is sharded per band, merged deterministically.
 //! 3. **Streaming Γ evaluation** — candidate pairs are counted (and probed
-//!    against ground truth) by a loser-tree/galloping merge fold over
-//!    radix-sorted packed pair runs, one pair-space slice at a time; the
-//!    full pair set is never materialised, so peak memory stays at one
-//!    slice per worker even at 236M+ LSH pairs.
+//!    against ground truth) per anchor record: each record keeps its
+//!    partners with smaller ids once through a per-worker seen-set, so no
+//!    pair is sorted, merged or stored, and peak memory stays at an
+//!    inverted index of the memberships plus one seen-set per worker even at
+//!    236M+ LSH pairs.
 //!
 //! The measured numbers (records, blocking times, Γ-count time, peak RSS)
 //! are also written to `BENCH_fig13.json` in the working directory — the
@@ -92,10 +93,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("{}", salsh_result.summary());
 
     // --- 3. Stream the candidate-pair counts ---------------------------------
-    // `stream_packed_counts` folds per-shard radix-sorted packed pair runs
-    // through the loser-tree/galloping merge counter, probing the dense
-    // ground-truth entity table per distinct pair — Γ itself is never
-    // resident.
+    // `stream_packed_counts` anchors every pair on its larger id and keeps
+    // each anchor's partners once through the partner-dedup kernel, probing
+    // the dense ground-truth entity table per distinct pair — Γ itself is
+    // never resident.
     let stream_start = Instant::now();
     let truth = dataset.ground_truth();
     let counts = blocks.stream_packed_counts(EntityTableProbe::new(truth.entity_table()));

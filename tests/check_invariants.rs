@@ -1,13 +1,13 @@
 //! Cora-scale exercise of the `check-invariants` runtime sanitizer.
 //!
 //! These tests always run and always assert the observable contracts
-//! (delta totals matching one-shot counts, snapshot/merge consistency,
+//! (delta totals matching one-shot counts, snapshot/count consistency,
 //! removal bookkeeping). Built with `--features
 //! sablock_core/check-invariants` — the way CI runs them — they
 //! additionally drive every internal invariant assertion in
-//! `sablock_core::invariants`: packed runs strictly ascending, loser-tree
-//! emissions nondecreasing, per-batch deltas pairwise disjoint, and the
-//! tombstone set staying inside the inserted id range.
+//! `sablock_core::invariants`: per-batch deltas distinct and pairwise
+//! disjoint, the partner-dedup seen-set left clear after every insert and
+//! removal, and the tombstone set staying inside the inserted id range.
 
 use sablock::core::incremental::IncrementalBlocker;
 use sablock::core::lsh::salsh::SaLshBlockerBuilder;
@@ -40,10 +40,9 @@ fn salsh_builder() -> SaLshBlockerBuilder {
         )
 }
 
-/// One-shot SA-LSH blocking at Cora scale drives the full packed-run
-/// pipeline — radix sort, dedup, loser-tree merge with galloping — under
-/// the sanitizer, and its streamed counts must agree with the materialised
-/// pair set.
+/// One-shot SA-LSH blocking at Cora scale drives the streaming Γ counter —
+/// dense ranks, inverted index, partner-dedup kernel — under the sanitizer,
+/// and its streamed counts must agree with the materialised pair set.
 #[test]
 fn one_shot_blocking_under_sanitizer_matches_materialised_counts() {
     let dataset = cora_dataset(600);
@@ -93,7 +92,7 @@ fn batched_ingest_under_sanitizer_sums_to_one_shot_counts() {
     assert_eq!(incremental.num_removed(), 3);
 }
 
-/// Snapshots taken mid-stream re-run the merge machinery over the live
+/// Snapshots taken mid-stream re-run the streaming Γ counter over the live
 /// index; their streamed counts must never exceed the unfiltered total and
 /// must be reproducible.
 #[test]

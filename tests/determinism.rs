@@ -122,8 +122,8 @@ fn end_to_end_metrics_are_reproducible() {
 
 /// The streaming Γ evaluation is thread-count invariant: counting the same
 /// block collection with 1 worker and with 4 workers produces identical
-/// `BlockingMetrics` (and both agree with the materialised reference), for
-/// every slice count of the pair-space partitioning.
+/// `BlockingMetrics` (and both agree with the materialised reference), and
+/// so does a closure probe for 1, 2 and 4 workers.
 #[test]
 fn streaming_evaluation_is_thread_count_invariant() {
     let dataset = small_cora();
@@ -134,16 +134,12 @@ fn streaming_evaluation_is_thread_count_invariant() {
     let quad = with_threads(4, || BlockingMetrics::evaluate(&blocks, truth));
     assert_eq!(single, quad, "1 vs 4 streaming workers");
     assert_eq!(single, reference, "streaming vs materialised");
-    // The same invariance holds when the pair space is force-split into
-    // slices far smaller than the automatic heuristic would pick.
-    for slices in [2usize, 5, 16] {
-        for threads in [1usize, 4] {
-            let counts = with_threads(threads, || {
-                blocks.stream_packed_counts_sliced(slices, |p: &RecordPair| truth.is_match_pair(p))
-            });
-            assert_eq!(counts.distinct, reference.candidate_pairs, "slices={slices} threads={threads}");
-            assert_eq!(counts.matching, reference.true_positives, "slices={slices} threads={threads}");
-        }
+    // The same invariance holds for a closure probe, whatever the number of
+    // anchor ranges the counter splits the collection into.
+    for threads in [1usize, 2, 4] {
+        let counts = with_threads(threads, || blocks.stream_packed_counts(|p: &RecordPair| truth.is_match_pair(p)));
+        assert_eq!(counts.distinct, reference.candidate_pairs, "threads={threads}");
+        assert_eq!(counts.matching, reference.true_positives, "threads={threads}");
     }
 }
 
@@ -257,9 +253,10 @@ fn canopy_and_stringmap_are_thread_count_invariant() {
 }
 
 /// The batch-parallel incremental insert path (per-band shard updates via
-/// `parallel_map_mut`, stitched in band order) must be thread-count
-/// invariant *per batch*, not just at the end: identical per-batch delta
-/// runs, identical running Γ/Γ_tp counters after every batch and removal,
+/// `parallel_map_mut`, stitched in band order; delta anchors split over the
+/// workers, concatenated in anchor order) must be thread-count invariant
+/// *per batch*, not just at the end: identical per-batch deltas, key for key
+/// and in order, identical running Γ/Γ_tp counters after every batch and removal,
 /// and a byte-identical final snapshot for 1 vs 4 ingest workers.
 #[test]
 fn incremental_insert_is_thread_count_invariant_per_batch() {
@@ -275,7 +272,7 @@ fn incremental_insert_is_thread_count_invariant_per_batch() {
         let delta_1 = with_threads(1, || single.insert_batch_with_entities(chunk, batch_entities).cloned()).unwrap();
         let delta_4 = with_threads(4, || quad.insert_batch_with_entities(chunk, batch_entities).cloned()).unwrap();
         offset += chunk.len();
-        assert_eq!(delta_1, delta_4, "per-batch delta runs differ between 1 and 4 workers");
+        assert_eq!(delta_1, delta_4, "per-batch deltas differ between 1 and 4 workers");
         assert_eq!(single.running_counts(), quad.running_counts(), "running counters diverged mid-stream");
         // Remove one record per batch so the subtraction path (built on the
         // back-references the parallel insert recorded) is exercised too.

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use sablock::core::blocking::{merge_count_packed_runs, radix_sort_packed, Block, BlockCollection, PairCounts};
+use sablock::core::blocking::{Block, BlockCollection, EntityTableProbe, MAX_RECORD_ID};
 use sablock::core::lsh::probability::{banding_collision_probability, salsh_collision_probability, w_way_probability};
 use sablock::core::parallel::with_threads;
 use sablock::core::semantic::semhash::SemhashFamily;
@@ -39,45 +39,6 @@ fn ids_to_pairs(ids: &[u32]) -> Vec<RecordPair> {
     ids.chunks_exact(2)
         .filter_map(|ab| RecordPair::new(RecordId(ab[0]), RecordId(ab[1])))
         .collect()
-}
-
-/// Builds a sorted, deduplicated packed run from arbitrary id pairs (the
-/// invariant every input run of the merge counter satisfies).
-fn packed_run(ids: &[u32]) -> Vec<u64> {
-    let mut keys: Vec<u64> = ids_to_pairs(ids).into_iter().map(RecordPair::pack).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
-/// The PR-3 reference merge: a binary heap of `(key, run)` heads, pop + push
-/// per redundant key, deduplicating on emission. The loser-tree/galloping
-/// merge must be observationally identical to this on every input.
-fn heap_merge_reference<F: Fn(u64) -> bool>(runs: &[Vec<u64>], probe: F) -> PairCounts {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut iters: Vec<_> = runs.iter().map(|run| run.iter().copied()).collect();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (idx, iter) in iters.iter_mut().enumerate() {
-        if let Some(key) = iter.next() {
-            heap.push(Reverse((key, idx)));
-        }
-    }
-    let mut counts = PairCounts::default();
-    let mut last: Option<u64> = None;
-    while let Some(Reverse((key, idx))) = heap.pop() {
-        if last != Some(key) {
-            counts.distinct += 1;
-            if probe(key) {
-                counts.matching += 1;
-            }
-            last = Some(key);
-        }
-        if let Some(next) = iters[idx].next() {
-            heap.push(Reverse((next, idx)));
-        }
-    }
-    counts
 }
 
 proptest! {
@@ -198,64 +159,7 @@ proptest! {
         }
     }
 
-    /// The radix sort used for packed run construction is observationally
-    /// `sort_unstable` (keys have no identity, so stability is moot), across
-    /// the comparison-fallback threshold and beyond it.
-    #[test]
-    fn radix_sort_equals_comparison_sort(
-        ids in proptest::collection::vec(0u32..2_000, 0..6_000),
-    ) {
-        let mut keys: Vec<u64> = ids_to_pairs(&ids).into_iter().map(RecordPair::pack).collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        radix_sort_packed(&mut keys);
-        prop_assert_eq!(keys, expected);
-    }
-
-    /// The loser-tree/galloping merge counter is observationally identical
-    /// to the PR-3 binary-heap merge on duplicate-heavy run sets: many runs
-    /// drawn from a tiny id universe, so most keys repeat across runs and
-    /// cross-run ties are the common case.
-    #[test]
-    fn loser_tree_merge_matches_heap_merge_on_duplicate_heavy_runs(
-        runs in proptest::collection::vec(
-            proptest::collection::vec(0u32..6, 0..40),
-            0..12,
-        ),
-    ) {
-        let runs: Vec<Vec<u64>> = runs.iter().map(|ids| packed_run(ids)).collect();
-        let probe = |p: &RecordPair| p.first().0 % 2 == 0;
-        let reference = heap_merge_reference(&runs, |key| probe(&RecordPair::from_packed(key)));
-        prop_assert_eq!(merge_count_packed_runs(&runs, &probe), reference);
-        // A BTreeSet union is a second, independent witness for |Γ|.
-        let union: std::collections::BTreeSet<u64> = runs.iter().flatten().copied().collect();
-        prop_assert_eq!(reference.distinct, union.len() as u64);
-    }
-
-    /// The same equivalence on the gallop-friendly adversarial shape: one
-    /// long run (which the gallop path should swallow in large bites) plus
-    /// many short runs, with empty runs mixed in.
-    #[test]
-    fn loser_tree_merge_matches_heap_merge_on_one_long_many_short_runs(
-        long in proptest::collection::vec(0u32..1_000, 0..800),
-        shorts in proptest::collection::vec(
-            proptest::collection::vec(0u32..1_000, 0..6),
-            0..10,
-        ),
-        empty_positions in proptest::collection::vec(0usize..12, 0..4),
-    ) {
-        let mut runs: Vec<Vec<u64>> = Vec::new();
-        runs.push(packed_run(&long));
-        runs.extend(shorts.iter().map(|ids| packed_run(ids)));
-        for &at in &empty_positions {
-            runs.insert(at.min(runs.len()), Vec::new());
-        }
-        let probe = |p: &RecordPair| p.second().0 % 3 == 0;
-        let reference = heap_merge_reference(&runs, |key| probe(&RecordPair::from_packed(key)));
-        prop_assert_eq!(merge_count_packed_runs(&runs, &probe), reference);
-    }
-
-    /// The sort-dedup/sorted-merge pair enumeration is a drop-in replacement
+    /// The sort-dedup pair enumeration is a drop-in replacement
     /// for the old per-collection HashSet: on random block collections —
     /// including empty blocks, singleton blocks and overlap-heavy collections
     /// drawn from a tiny record universe so most pairs repeat across blocks —
@@ -263,8 +167,7 @@ proptest! {
     #[test]
     fn sorted_merge_enumeration_matches_hashset_semantics(
         // Up to 600 blocks of 0..6 members over only 9 records: heavy overlap,
-        // with empty and singleton blocks mixed in. 600 blocks also exceeds
-        // one enumeration shard, exercising the parallel merge path.
+        // with empty and singleton blocks mixed in.
         blocks in proptest::collection::vec(proptest::collection::vec(0u32..9, 0..6), 0..600),
     ) {
         let collection = BlockCollection::from_blocks(
@@ -286,10 +189,9 @@ proptest! {
 
     /// Streaming Γ evaluation is a drop-in replacement for the materialised
     /// computation: on random block collections — overlap-heavy (blocks drawn
-    /// from a 9-record universe), with singleton and empty blocks mixed in,
-    /// and spanning multiple enumeration shards — `BlockingMetrics::evaluate`
-    /// equals `evaluate_materialised` field for field, for every thread count
-    /// and every forced pair-space slice count.
+    /// from a 9-record universe), with singleton and empty blocks mixed in —
+    /// `BlockingMetrics::evaluate` equals `evaluate_materialised` field for
+    /// field, for every worker count.
     #[test]
     fn streaming_evaluation_matches_materialised_evaluation(
         blocks in proptest::collection::vec(proptest::collection::vec(0u32..9, 0..6), 0..600),
@@ -309,20 +211,53 @@ proptest! {
         for threads in [1usize, 4] {
             prop_assert_eq!(with_threads(threads, || BlockingMetrics::evaluate(&collection, &truth)), reference);
         }
-        // Forcing the sliced pair-space partitioning (which the automatic
-        // heuristic only engages at paper scale) must not change any count.
-        for slices in [2usize, 3, 8, 64] {
-            let counts = with_threads(4, || {
-                collection.stream_packed_counts_sliced(slices, |p: &RecordPair| truth.is_match_pair(p))
+        // A closure probe instead of the entity table must not change any
+        // count either, whatever the worker count.
+        for threads in [1usize, 2, 4] {
+            let counts = with_threads(threads, || {
+                collection.stream_packed_counts(|p: &RecordPair| truth.is_match_pair(p))
             });
-            prop_assert_eq!(counts.distinct, reference.candidate_pairs, "slices={}", slices);
-            prop_assert_eq!(counts.matching, reference.true_positives, "slices={}", slices);
+            prop_assert_eq!(counts.distinct, reference.candidate_pairs, "threads={}", threads);
+            prop_assert_eq!(counts.matching, reference.true_positives, "threads={}", threads);
+        }
+    }
+
+    /// The dense-rank mapping of the streaming counter: ids from `0..9`
+    /// mixed with ids within 9 of `MAX_RECORD_ID` count exactly like the
+    /// materialised evaluation, for 1 and 4 workers, and a probe that reads
+    /// the high ids sees each distinct pair once.
+    #[test]
+    fn streaming_counts_map_sparse_ids_to_dense_ranks(
+        blocks in proptest::collection::vec(proptest::collection::vec(0u32..18, 0..6), 0..200),
+        entities in proptest::collection::vec(0u32..3, 9),
+    ) {
+        let id = |v: u32| RecordId(if v < 9 { v } else { MAX_RECORD_ID - (v - 9) });
+        let collection = BlockCollection::try_from_blocks(
+            blocks
+                .iter()
+                .enumerate()
+                .map(|(i, members)| Block::new(format!("b{i}"), members.iter().map(|&v| id(v)).collect()))
+                .collect(),
+        )
+        .unwrap();
+        let truth = GroundTruth::from_assignments(entities.into_iter().map(EntityId).collect());
+        let reference = BlockingMetrics::evaluate_materialised(&collection, &truth);
+        let high = |p: &RecordPair| p.second().0 > MAX_RECORD_ID - 9 && p.first().0 % 2 == 0;
+        let expected_high = collection.distinct_pairs().iter().filter(|p| high(p)).count() as u64;
+        for threads in [1usize, 4] {
+            let counts = with_threads(threads, || {
+                collection.stream_packed_counts(EntityTableProbe::new(truth.entity_table()))
+            });
+            prop_assert_eq!(counts.distinct, reference.candidate_pairs, "threads={}", threads);
+            prop_assert_eq!(counts.matching, reference.true_positives, "threads={}", threads);
+            let counts = with_threads(threads, || collection.stream_packed_counts(high));
+            prop_assert_eq!(counts.matching, expected_high, "threads={}", threads);
         }
     }
 
     /// Degenerate inputs of the streaming evaluation: singleton-only and
-    /// empty block collections yield all-zero pair counts no matter how the
-    /// counter is partitioned.
+    /// empty block collections yield all-zero pair counts for every worker
+    /// count.
     #[test]
     fn streaming_evaluation_handles_degenerate_collections(
         singletons in proptest::collection::vec(0u32..50, 0..12),
@@ -342,8 +277,8 @@ proptest! {
         prop_assert_eq!(streamed.candidate_pairs, 0);
         prop_assert_eq!(streamed.true_positives, 0);
         let empty = BlockCollection::new();
-        for slices in [1usize, 4] {
-            let counts = with_threads(2, || empty.stream_packed_counts_sliced(slices, |_: &RecordPair| true));
+        for threads in [1usize, 2, 4] {
+            let counts = with_threads(threads, || empty.stream_packed_counts(|_: &RecordPair| true));
             prop_assert_eq!(counts.distinct, 0);
             prop_assert_eq!(counts.matching, 0);
         }
