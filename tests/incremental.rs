@@ -236,3 +236,52 @@ fn golden_cora_delta_pair_counts() {
     assert_eq!(incremental.running_counts().pairs, reference_metrics.candidate_pairs);
     assert_eq!(incremental.running_counts().true_positives, reference_metrics.true_positives);
 }
+
+/// FNV-1a-64 continued from `hash` over `bytes`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// Every golden Cora delta pinned byte for byte and in order: an
+/// order-sensitive FNV-1a-64 digest over each batch's
+/// `DeltaPairs::distinct_packed()` (keys as u64 little-endian, a `0xFF`
+/// separator after each batch), for the pinned SA-LSH configuration over
+/// the golden 100-record prefix ingested in irregular batch sizes. A
+/// removal after some batches leaves tombstones in the buckets, so later
+/// deltas walk buckets with dead members too. The documented delta order
+/// does not depend on the worker count, so one and four workers must give
+/// the same digest. Counts alone (`golden_cora_delta_pair_counts`) cannot
+/// see a reordered or swapped key.
+#[test]
+fn golden_cora_deltas_are_pinned_byte_for_byte() {
+    const GOLDEN: (u64, usize) = (0xb4ad_f63b_d7cb_f658, 641);
+    const BATCH_SIZES: [usize; 9] = [1, 2, 17, 5, 33, 1, 9, 24, 8];
+    const REMOVALS: [(usize, u32); 3] = [(2, 4), (4, 40), (6, 57)];
+    let dataset = cora_dataset(100);
+    let digest = |threads: usize| {
+        with_threads(threads, || {
+            let mut incremental = salsh_builder().into_incremental().unwrap();
+            let (mut hash, mut keys, mut offset) = (0xCBF2_9CE4_8422_2325u64, 0usize, 0usize);
+            for (batch, size) in BATCH_SIZES.into_iter().enumerate() {
+                let delta = incremental.insert_batch(&dataset.records()[offset..offset + size]).unwrap();
+                for key in delta.distinct_packed() {
+                    hash = fnv1a(hash, &key.to_le_bytes());
+                }
+                hash = fnv1a(hash, &[0xFF]);
+                keys += delta.distinct_packed().len();
+                offset += size;
+                for &(_, victim) in REMOVALS.iter().filter(|&&(after, _)| after == batch) {
+                    assert!(incremental.remove(RecordId(victim)).unwrap());
+                }
+            }
+            assert_eq!(offset, dataset.len(), "the batches cover the corpus");
+            (hash, keys)
+        })
+    };
+    let (single, quad) = (digest(1), digest(4));
+    println!("    const GOLDEN: (u64, usize) = ({:#018x}, {});", single.0, single.1);
+    assert_eq!(single, GOLDEN, "golden Cora deltas shifted (1 worker)");
+    assert_eq!(quad, GOLDEN, "golden Cora deltas shifted (4 workers)");
+}
