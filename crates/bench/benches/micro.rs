@@ -1,13 +1,15 @@
 //! Micro-benchmarks of the hot paths: q-gram extraction, scoring one ranked
 //! query candidate (fresh hash sets, a reused hash set, and the
 //! allocation-free kernel), minhash signatures, semhash signatures, banding
-//! keys, the similarity metrics used by the baselines, and the streaming Γ
-//! counter against the materialising `distinct_pairs()` oracle.
+//! keys, the similarity metrics used by the baselines, the streaming Γ
+//! counter against the materialising `distinct_pairs()` oracle, and the
+//! partner walk of incremental ingest against the one-shot Γ counter's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sablock_core::blocking::{Block, BlockCollection, PairCounts};
+use sablock_core::blocking::{Block, BlockCollection, Blocker, EntityTableProbe, PairCounts};
+use sablock_core::lsh::salsh::SaLshBlocker;
 use sablock_core::lsh::BandingScheme;
 use sablock_core::minhash::shingle::RecordShingler;
 use sablock_core::minhash::{MinHasher, MinhashConfig};
@@ -17,6 +19,7 @@ use sablock_core::semantic::SemanticFunction;
 use sablock_core::taxonomy::bib::bibliographic_taxonomy;
 use sablock_datasets::record::RecordPair;
 use sablock_datasets::{CoraConfig, CoraGenerator, RecordId};
+use sablock_eval::experiments::voter_dataset_of_size;
 use sablock_textual::qgrams::hashed_qgram_set;
 use sablock_textual::similarity::{SimilarityFunction, StringSimilarity};
 use sablock_textual::{jaccard, JaccardScorer, StableHashSet};
@@ -164,5 +167,45 @@ fn bench_gamma_count(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_textual, bench_signatures, bench_semantics, bench_gamma_count);
+/// Voter rows the partner-walk group ingests: four 4,096-row batches.
+const PARTNER_WALK_RECORDS: usize = 16_384;
+
+/// The two partner walks over one corpus: incremental ingest in 4,096-row
+/// batches, whose delta walk anchors every pair on its larger id, and the
+/// one-shot Γ counter over the same corpus's blocks. Both walk every
+/// redundant pair once, so both names carry that count and ns per partner
+/// reads straight off the times (the ingest time also holds the batch's
+/// signatures and band updates). The blocker is the served voter profile
+/// (`sablock-serve --profile voter`): textual LSH over first name, last
+/// name and city, 10 bands of 3 rows over bigrams.
+fn bench_partner_walk(c: &mut Criterion) {
+    let dataset = voter_dataset_of_size(PARTNER_WALK_RECORDS).expect("voter dataset");
+    let builder = SaLshBlocker::builder()
+        .attributes(["first_name", "last_name", "city"])
+        .minhash(MinhashConfig { bands: 10, rows_per_band: 3, qgram: 2, seed: 0xB10C });
+    let blocks = builder.clone().build().expect("blocker").block(&dataset).expect("one-shot blocks");
+    let entities = dataset.ground_truth().entity_table();
+    let probe = EntityTableProbe::new(entities);
+    let ingest = || {
+        let mut index = builder.clone().into_incremental().expect("incremental blocker");
+        for (batch, batch_entities) in dataset.records().chunks(4_096).zip(entities.chunks(4_096)) {
+            index.insert_batch_with_entities(batch, batch_entities).expect("ingest");
+        }
+        index.running_counts().as_pair_counts()
+    };
+    let redundant = blocks.redundant_pair_count();
+    let streamed = blocks.stream_packed_counts(probe);
+    assert!(streamed.distinct < redundant, "the voter buckets repeat pairs");
+    assert_eq!(ingest(), streamed, "the ingest's running counts must equal the one-shot streamed counts");
+
+    let mut group = c.benchmark_group("micro/partner_walk");
+    group.sample_size(10);
+    group.bench_function(format!("ingest_4096r_batches_{redundant}p"), |b| b.iter(ingest));
+    group.bench_function(format!("stream_packed_counts_{redundant}p"), |b| {
+        b.iter(|| black_box(&blocks).stream_packed_counts(probe))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_textual, bench_signatures, bench_semantics, bench_gamma_count, bench_partner_walk);
 criterion_main!(benches);

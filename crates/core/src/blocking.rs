@@ -19,15 +19,16 @@
 //! A pair repeats once per block its two records share, so Γ is the
 //! redundant pairs with the repeats removed. The partner-dedup kernel
 //! (`SeenSet::distinct_partners`) removes them per record, not per pair:
-//! for one *anchor* record it walks the member lists the anchor belongs to,
-//! keeps each partner once through a seen-set indexed by dense id, and
-//! clears exactly the entries it set before it returns. With every pair
-//! anchored on one of its two records, each distinct pair comes out exactly
-//! once, with O(redundant pairs) work, one O(records) seen-set per worker and
-//! no sort or merge — the entity index of Comparison Propagation in the
-//! Papadakis et al. survey. One-shot Γ
-//! ([`BlockCollection::stream_packed_counts`]), incremental ingest deltas and
-//! removals all run it.
+//! for one *anchor* record the caller's walk marks every member of the
+//! member lists the anchor belongs to, in plain slice loops; the kernel
+//! keeps each partner the first time it is marked, through a seen-set
+//! indexed by dense id, and hands the kept partners back as one slice after
+//! clearing exactly the marks it set. With every pair anchored on one of its
+//! two records, each distinct pair comes out exactly once, with
+//! O(redundant pairs) work, one O(records) seen-set per worker and no sort
+//! or merge — the entity index of Comparison Propagation in the Papadakis et
+//! al. survey. One-shot Γ ([`BlockCollection::stream_packed_counts`]),
+//! incremental ingest deltas and removals all run it.
 
 use std::collections::HashMap;
 
@@ -53,6 +54,26 @@ pub(crate) struct SeenSet {
     kept: Vec<u32>,
 }
 
+/// The marking side of one partner walk: what the walk closure of
+/// [`SeenSet::distinct_partners`] receives.
+pub(crate) struct PartnerMarks<'a> {
+    marks: &'a mut [bool],
+    kept: &'a mut Vec<u32>,
+}
+
+impl PartnerMarks<'_> {
+    /// Marks one partner, keeping it if the walk has not marked it before.
+    /// The id must be below the seen-set's covered length.
+    #[inline]
+    pub(crate) fn mark(&mut self, partner: u32) {
+        let mark = &mut self.marks[partner as usize];
+        if !*mark {
+            *mark = true;
+            self.kept.push(partner);
+        }
+    }
+}
+
 impl SeenSet {
     /// A clear set covering ids `0..len`.
     pub(crate) fn with_len(len: usize) -> Self {
@@ -66,28 +87,22 @@ impl SeenSet {
         }
     }
 
-    /// The partner-dedup kernel: calls `emit` once for each distinct id
-    /// among `partners`, in first-seen order. Each id is marked when first
-    /// seen, and exactly the marks set here are cleared before the call
-    /// returns, so it costs O(|partners|) whatever the size of the set.
-    /// Every id must be below the covered length.
-    pub(crate) fn distinct_partners(&mut self, partners: impl IntoIterator<Item = u32>, mut emit: impl FnMut(u32)) {
+    /// The partner-dedup kernel: runs `walk`, which marks an anchor's
+    /// partners — every member of each list the anchor sits in, repeats
+    /// included — and returns each distinct marked id once, in first-seen
+    /// order. Exactly the marks set here are cleared before it returns, so
+    /// a call costs O(marked ids) whatever the size of the set.
+    pub(crate) fn distinct_partners(&mut self, walk: impl FnOnce(&mut PartnerMarks<'_>)) -> &[u32] {
         self.kept.clear();
-        for partner in partners {
-            let mark = &mut self.marks[partner as usize];
-            if !*mark {
-                *mark = true;
-                self.kept.push(partner);
-            }
-        }
+        walk(&mut PartnerMarks { marks: &mut self.marks, kept: &mut self.kept });
         for &partner in &self.kept {
             self.marks[partner as usize] = false;
-            emit(partner);
         }
+        &self.kept
     }
 
     /// The marks, for the sanitizer's all-clear check.
-    #[cfg(feature = "check-invariants")]
+    #[cfg(any(test, feature = "check-invariants"))]
     pub(crate) fn marks(&self) -> &[bool] {
         &self.marks
     }
@@ -345,10 +360,10 @@ impl BlockCollection {
     /// but nothing is sorted or merged. The member ids are mapped to dense
     /// ranks, each block's ranks are sorted, and an inverted index lists, for
     /// every rank, each block it sits in with its position there. A pair is
-    /// anchored on its larger id, whose partners in a block are the members
-    /// before it, and the partner-dedup kernel
-    /// (`SeenSet::distinct_partners`) keeps each partner once. The anchors
-    /// are cut into [`default_threads`] contiguous ranges of equal
+    /// anchored on its larger id, whose partners in a block are the ranks
+    /// before it; the walk marks them slice by slice, and the partner-dedup
+    /// kernel (`SeenSet::distinct_partners`) keeps each partner once. The
+    /// anchors are cut into [`default_threads`] contiguous ranges of equal
     /// redundant-pair mass, one per [`parallel_map`] worker; the counts are
     /// sums, so they are identical for every worker count. Memory is
     /// O(members) for the index plus one O(distinct members) seen-set per
@@ -424,11 +439,17 @@ impl BlockCollection {
             let mut counts = PairCounts::default();
             for anchor in first..end {
                 let entries = &index[offsets[anchor]..offsets[anchor + 1]];
+                let partners = seen.distinct_partners(|marks| {
+                    for &(start, position) in entries {
+                        for &partner in &ranks[start..position] {
+                            marks.mark(partner);
+                        }
+                    }
+                });
                 let larger = ids[anchor];
-                seen.distinct_partners(
-                    entries.iter().flat_map(|&(start, position)| ranks[start..position].iter().copied()),
-                    |partner| counts.tally(RecordPair::pack_ascending(ids[partner as usize], larger), &probe),
-                );
+                for &partner in partners {
+                    counts.tally(RecordPair::pack_ascending(ids[partner as usize], larger), &probe);
+                }
             }
             counts
         });
@@ -596,9 +617,12 @@ mod tests {
     fn seen_set_keeps_first_occurrences_and_leaves_itself_clear() {
         let mut seen = SeenSet::with_len(4);
         let distinct = |seen: &mut SeenSet, partners: &[u32]| {
-            let mut kept = Vec::new();
-            seen.distinct_partners(partners.iter().copied(), |partner| kept.push(partner));
-            kept
+            seen.distinct_partners(|marks| {
+                for &partner in partners {
+                    marks.mark(partner);
+                }
+            })
+            .to_vec()
         };
         assert_eq!(distinct(&mut seen, &[3, 1, 3, 0, 1]), [3, 1, 0]);
         // The call cleared its marks, so the next anchor sees every id again.

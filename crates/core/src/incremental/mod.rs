@@ -24,15 +24,22 @@
 //! new records, the delta is exactly the set of bucket-sharing pairs that
 //! involve at least one new record — and new ids are above every old id, so
 //! the larger id of each such pair is a batch record. Ingest anchors the
-//! delta there: each batch record walks the buckets it just joined, and the
-//! partner-dedup kernel of [`crate::blocking`] keeps every live member below
-//! it once, so each new pair comes out exactly once with no sort and no
-//! merge. The delta is carried as its distinct packed-`u64` keys
-//! ([`RecordPair::pack`]), folded into the running counters as they are
-//! produced, so [`DeltaPairs::counts`] and [`DeltaPairs::num_pairs`] never
-//! see a repeated pair. Absent removals, deltas of successive batches are
-//! **disjoint**: summing per-batch [`PairCounts`] equals a from-scratch count
-//! of the merged whole, byte for byte.
+//! delta there: each batch record walks the buckets it just joined — per
+//! bucket one lookup, one binary search for its own position and a plain
+//! loop over the members below it, testing tombstones only in a bucket that
+//! holds some — and the partner-dedup kernel of [`crate::blocking`] keeps
+//! every live member once, so each new pair comes out exactly once with no
+//! sort and no merge. The batch's anchors are split over the workers, each
+//! with a seen-set and key buffer the blocker keeps from batch to batch, so
+//! a run of parallel batches allocates nothing once they have grown; a
+//! batch drops or shrinks what it no longer needs, so a one-row write after
+//! a bulk load keeps no bulk memory. The delta is carried as its distinct
+//! packed-`u64` keys ([`RecordPair::pack`]), folded into the running
+//! counters as they are produced, so [`DeltaPairs::counts`] and
+//! [`DeltaPairs::num_pairs`] never see a repeated pair. Absent removals,
+//! deltas of successive batches are **disjoint**: summing per-batch
+//! [`PairCounts`] equals a from-scratch count of the merged whole, byte for
+//! byte.
 //!
 //! # Running counters
 //!
@@ -272,11 +279,21 @@ pub struct IncrementalSaLshBlocker {
     next_id: u32,
     removed: Vec<bool>,
     removed_count: usize,
-    /// The partner-dedup kernel's seen-set, grown with the id space and all
-    /// clear between calls, so a one-thread insert or removal allocates and
-    /// clears nothing proportional to the corpus. Runtime-only: not part of
-    /// [`IndexDump`] or [`IndexView`].
+    /// The first ingest worker's partner-dedup seen-set, which removals use
+    /// too: grown with the id space and all clear between calls, so a
+    /// one-thread insert or removal allocates and clears nothing
+    /// proportional to the corpus. The first worker writes its keys straight
+    /// into the delta's buffer, recycled from the previous delta.
+    /// Runtime-only, like `extra_workers`: not part of [`IndexDump`] or
+    /// [`IndexView`].
     seen: SeenSet,
+    /// The seen-set and key buffer of each further worker of the last
+    /// ingest batch, kept so that a run of parallel batches allocates
+    /// nothing once they have grown. A batch grows the ones it uses with the
+    /// id space, drops the ones it does not use, and shrinks a key buffer
+    /// its last use filled to under a quarter, so a one-row write after a
+    /// bulk load hands their memory back.
+    extra_workers: Vec<(SeenSet, Vec<u64>)>,
     last_delta: DeltaPairs,
     batches_ingested: usize,
     /// Every packed pair key any batch's delta has ever reported — the
@@ -328,6 +345,7 @@ impl IncrementalSaLshBlocker {
             removed: Vec::new(),
             removed_count: 0,
             seen: SeenSet::default(),
+            extra_workers: Vec::new(),
             last_delta: DeltaPairs::empty(),
             batches_ingested: 0,
             #[cfg(feature = "check-invariants")]
@@ -611,77 +629,97 @@ impl IncrementalSaLshBlocker {
         }
 
         // The delta, anchored on each batch record: its partners are the live
-        // members below it in the buckets it joined (members ascend, so each
-        // walk stops at the anchor), and the kernel keeps each one once. The
+        // members below it in the buckets it joined (members ascend, so one
+        // binary search per bucket ends each list at the anchor), and the
+        // kernel keeps each one once. A bucket holding no tombstone is walked
+        // as a plain slice; only one holding some tests each member. The
         // batch is split evenly over the workers, whose keys are concatenated
-        // in anchor order and whose counts are summed. The first worker uses
-        // the blocker's seen-set and writes into the previous delta's
-        // allocation (fresh pages cost more than the walk itself); only the
-        // extra workers of a parallel batch allocate their own.
+        // in anchor order and whose counts are summed. Every worker's
+        // seen-set and key buffer are kept across batches (fresh pages cost
+        // more than the walk itself): the first worker writes into the
+        // previous delta's allocation, the others into their own buffers.
         let chunk = records.len().div_ceil(threads);
-        let extra = records.len().div_ceil(chunk) - 1;
-        let mut recycled = std::mem::take(&mut self.last_delta.distinct);
-        recycled.clear();
-        let first = (std::mem::take(&mut self.seen), recycled);
-        let extras = (0..extra).map(|_| (SeenSet::with_len(self.next_id as usize), Vec::new()));
-        let mut shares: Vec<_> = records.chunks(chunk).zip(std::iter::once(first).chain(extras)).collect();
+        self.extra_workers.resize_with(records.len().div_ceil(chunk) - 1, Default::default);
+        for (seen, _) in &mut self.extra_workers {
+            seen.grow(self.next_id as usize);
+        }
+        let mut distinct = std::mem::take(&mut self.last_delta.distinct);
+        distinct.clear();
+        let workers = std::iter::once((&mut self.seen, &mut distinct))
+            .chain(self.extra_workers.iter_mut().map(|(seen, keys)| (seen, keys)));
+        let mut shares: Vec<_> = records.chunks(chunk).zip(workers).collect();
         let (bands, refs, removed) = (&self.bands, &self.bucket_refs, &self.removed);
         let probe = EntityTableProbe::new(&self.entity_of);
         let counts: Vec<PairCounts> = parallel_map_mut(&mut shares, threads, |(anchors, (seen, keys))| {
             let mut counts = PairCounts::default();
+            // Per bucket of the anchor: its members below the anchor, and
+            // whether it holds a tombstone.
+            let mut lists: Vec<(&[RecordId], bool)> = Vec::new();
             for anchor in anchors.iter().map(Record::id) {
-                seen.distinct_partners(
-                    referenced_buckets(bands, &refs[anchor.index()]).flat_map(|bucket| {
-                        let below = bucket.members.partition_point(|&member| member < anchor);
-                        live(bucket, &bucket.members[..below], removed)
-                    }),
-                    |partner| {
-                        let key = RecordPair::pack_ascending(RecordId(partner), anchor);
-                        counts.tally(key, &probe);
-                        keys.push(key);
-                    },
-                );
+                // Every lookup and binary search runs before the walk, so
+                // their cache misses overlap instead of queueing behind it.
+                lists.clear();
+                lists.extend(refs[anchor.index()].iter().filter_map(|reference| {
+                    let bucket = bands[reference.band].get(&reference.key)?;
+                    let below = bucket.members.partition_point(|&member| member < anchor);
+                    Some((&bucket.members[..below], bucket.dead > 0))
+                }));
+                let partners = seen.distinct_partners(|marks| {
+                    for &(members, dead) in &lists {
+                        if dead {
+                            for member in members.iter().filter(|member| !removed[member.index()]) {
+                                marks.mark(member.0);
+                            }
+                        } else {
+                            for member in members {
+                                marks.mark(member.0);
+                            }
+                        }
+                    }
+                });
+                keys.extend(partners.iter().map(|&partner| {
+                    let key = RecordPair::pack_ascending(RecordId(partner), anchor);
+                    counts.tally(key, &probe);
+                    key
+                }));
             }
             counts
         });
-        let mut outputs = shares.into_iter().map(|(_, output)| output);
-        let (seen, mut distinct) = outputs.next().unwrap_or_default();
-        self.seen = seen;
-        for (_, mut keys) in outputs {
-            distinct.append(&mut keys);
+        drop(shares);
+        for (_, keys) in &mut self.extra_workers {
+            distinct.extend_from_slice(keys);
+            shrink_to_last_use(keys);
+            keys.clear();
         }
         for batch in counts {
             self.running.pairs += batch.distinct;
             self.running.true_positives += batch.matching;
         }
-        // A small delta after a bulk one hands the bulk allocation back.
-        if distinct.len() < distinct.capacity() / 4 {
-            distinct.shrink_to_fit();
-        }
+        shrink_to_last_use(&mut distinct);
         self.last_delta = DeltaPairs { distinct };
         self.batches_ingested += 1;
         #[cfg(feature = "check-invariants")]
         {
             crate::invariants::check_delta_disjoint(&mut self.emitted_delta_keys, &self.last_delta);
             crate::invariants::check_tombstones(&self.removed, self.removed_count, self.next_id);
-            crate::invariants::check_seen_clear(self.seen.marks(), self.next_id);
+            crate::invariants::check_seen_clear(self.seen_sets(), self.next_id);
         }
         Ok(&self.last_delta)
     }
+
+    /// Every seen-set the blocker keeps, the first worker's first.
+    #[cfg(feature = "check-invariants")]
+    fn seen_sets(&self) -> impl Iterator<Item = &[bool]> {
+        std::iter::once(self.seen.marks()).chain(self.extra_workers.iter().map(|(seen, _)| seen.marks()))
+    }
 }
 
-/// The live members of `members`, a slice of `bucket`. A bucket holding no
-/// tombstone skips the per-member lookup in the tombstone flags.
-fn live<'a>(bucket: &Bucket, members: &'a [RecordId], removed: &'a [bool]) -> impl Iterator<Item = u32> + 'a {
-    let dead = bucket.dead > 0;
-    members.iter().filter(move |member| !(dead && removed[member.index()])).map(|member| member.0)
-}
-
-/// The buckets `refs` points at, in back-reference order: band order, then
-/// key order within a band. Their members are what the partner-dedup kernel
-/// walks for a record.
-fn referenced_buckets<'a>(bands: &'a [Arc<BandIndex>], refs: &'a [BucketRef]) -> impl Iterator<Item = &'a Bucket> + 'a {
-    refs.iter().filter_map(|reference| bands[reference.band].get(&reference.key))
+/// Hands a buffer's memory back when its last use filled under a quarter of
+/// it, so a small batch after a bulk one keeps no bulk allocation.
+fn shrink_to_last_use<T>(buffer: &mut Vec<T>) {
+    if buffer.len().saturating_mul(4) < buffer.capacity() {
+        buffer.shrink_to_fit();
+    }
 }
 
 impl IncrementalBlocker for IncrementalSaLshBlocker {
@@ -717,23 +755,28 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         // The record's live pairs, from only the buckets it occupies, with
         // the record as the kernel's anchor: a pair co-occurring in several
         // buckets is retired exactly once. Partners tombstoned earlier were
-        // already subtracted at *their* removal and are skipped here, as is
-        // the record itself (its buckets do not count it dead yet).
+        // already subtracted at *their* removal and are skipped here, and so
+        // is the record itself, tombstoned just above.
         let refs = std::mem::take(&mut self.bucket_refs[id.index()]);
         let mut retired = PairCounts::default();
         {
             let (bands, removed) = (&self.bands, &self.removed);
+            let partners = self.seen.distinct_partners(|marks| {
+                for reference in &refs {
+                    let Some(bucket) = bands[reference.band].get(&reference.key) else {
+                        continue;
+                    };
+                    for member in bucket.members.iter().filter(|member| !removed[member.index()]) {
+                        marks.mark(member.0);
+                    }
+                }
+            });
             let probe = EntityTableProbe::new(&self.entity_of);
-            self.seen.distinct_partners(
-                referenced_buckets(bands, &refs)
-                    .flat_map(|bucket| live(bucket, &bucket.members, removed))
-                    .filter(|&member| member != id.0),
-                |partner| {
-                    let partner = RecordId(partner);
-                    let (a, b) = if partner < id { (partner, id) } else { (id, partner) };
-                    retired.tally(RecordPair::pack_ascending(a, b), &probe);
-                },
-            );
+            for &partner in partners {
+                let partner = RecordId(partner);
+                let (a, b) = if partner < id { (partner, id) } else { (id, partner) };
+                retired.tally(RecordPair::pack_ascending(a, b), &probe);
+            }
         }
         crate::invariants::check_counter_subtraction(self.running.pairs, retired.distinct, "running |Γ|");
         crate::invariants::check_counter_subtraction(self.running.true_positives, retired.matching, "running |Γ_tp|");
@@ -771,7 +814,7 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         #[cfg(feature = "check-invariants")]
         {
             crate::invariants::check_tombstones(&self.removed, self.removed_count, self.next_id);
-            crate::invariants::check_seen_clear(self.seen.marks(), self.next_id);
+            crate::invariants::check_seen_clear(self.seen_sets(), self.next_id);
         }
         Ok(true)
     }
@@ -1119,6 +1162,58 @@ mod tests {
             assert_eq!(before.pairs - after.pairs, candidates.len() as u64, "remove of {victim}");
             assert_eq!(before.true_positives - after.true_positives, matches, "remove of {victim}");
         }
+    }
+
+    /// Every ingest worker's seen-set and key buffer outlive the batch, but
+    /// stay bounded: after each batch every kept key buffer holds at most 4×
+    /// its last use, a one-row insert after a bulk load drops the extra
+    /// workers and shrinks the delta's buffer back, and every kept seen-set
+    /// covers the whole id space.
+    #[test]
+    fn kept_worker_buffers_cover_the_id_space_and_shrink_back() {
+        let titles = [
+            "the cascade correlation learning architecture",
+            "cascade correlation learning architecture",
+            "efficient clustering of high dimensional data sets",
+            "a theory of record linkage",
+        ];
+        let rows: Vec<&str> = titles.iter().copied().cycle().take(72).collect();
+        let dataset = titles_dataset(&rows);
+        let schema = Arc::clone(dataset.records()[0].schema());
+        // Checks the buffers after a batch of `len` records split over four
+        // workers: worker `w` anchored the `w`-th run of `len.div_ceil(4)` records,
+        // and a key's low half is its anchor.
+        let check_kept = |blocker: &IncrementalSaLshBlocker, len: u32| {
+            let next_id = blocker.next_id;
+            let (first, share) = (next_id - len, len.div_ceil(4));
+            assert!(blocker.seen.marks().len() >= next_id as usize);
+            let delta = &blocker.last_delta.distinct;
+            assert!(delta.capacity() <= 4 * delta.len(), "delta: {} for {}", delta.capacity(), delta.len());
+            for (worker, (seen, keys)) in (1u32..).zip(&blocker.extra_workers) {
+                assert!(seen.marks().len() >= next_id as usize, "worker {worker} covers the id space");
+                let used = delta.iter().filter(|&&key| (key as u32 - first) / share == worker).count();
+                assert!(keys.is_empty(), "worker {worker} handed its keys to the delta");
+                assert!(keys.capacity() <= 4 * used, "worker {worker}: {} for {used}", keys.capacity());
+            }
+        };
+        crate::parallel::with_threads(4, || {
+            let mut blocker = lsh_builder().into_incremental().unwrap();
+            blocker.insert_batch(&dataset.records()[..64]).unwrap();
+            assert_eq!(blocker.extra_workers.len(), 3, "64 rows on four workers keep three extra workers");
+            assert!(blocker.extra_workers.iter().all(|(_, keys)| keys.capacity() > 0));
+            check_kept(&blocker, 64);
+            let bulk_capacity = blocker.last_delta.distinct.capacity();
+            // A smaller parallel batch: each worker keeps fewer partners.
+            blocker.insert_batch(&dataset.records()[64..]).unwrap();
+            assert_eq!(blocker.extra_workers.len(), 3);
+            check_kept(&blocker, 8);
+            for title in titles.iter().chain(&titles) {
+                blocker.insert_values(&schema, vec![vec![Some((*title).to_string())]]).unwrap();
+                assert!(blocker.extra_workers.is_empty(), "a one-row insert runs on one worker");
+                check_kept(&blocker, 1);
+            }
+            assert!(blocker.last_delta.distinct.capacity() < bulk_capacity / 4);
+        });
     }
 
     #[test]

@@ -205,6 +205,7 @@ impl IncrementalSaLshBlocker {
         self.removed = dump.removed;
         self.removed_count = removed_count;
         self.seen.grow(dumped_len);
+        self.extra_workers.clear();
         self.last_delta = DeltaPairs::empty();
         self.batches_ingested = batches_ingested;
         // `check-invariants` builds: the cross-batch disjointness set starts

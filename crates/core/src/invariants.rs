@@ -10,10 +10,11 @@
 //!   repeats within one ingest batch's delta, and none is ever reported by
 //!   two different batches ([`check_delta_disjoint`]), the property that
 //!   makes cumulative delta counts exact;
-//! * **seen-set left clear** — after every insert and removal, the
-//!   partner-dedup kernel has cleared every mark it set, and the blocker's
-//!   seen-set covers the whole id space ([`check_seen_clear`]), so the next
-//!   one-thread write needs no reset proportional to the corpus;
+//! * **seen-sets left clear** — after every insert and removal, the
+//!   partner-dedup kernel has cleared every mark it set, and every seen-set
+//!   the blocker keeps (one per ingest worker of the last batch) covers the
+//!   whole id space ([`check_seen_clear`]), so the next write needs no reset
+//!   proportional to the corpus;
 //! * **tombstone set ⊆ inserted ids** — the removal bitmap covers exactly
 //!   the assigned id range and agrees with the removal counter
 //!   ([`check_tombstones`]);
@@ -48,17 +49,19 @@ pub(crate) fn check_delta_disjoint(
     }
 }
 
-/// Checks the blocker's partner-dedup seen-set between calls: it covers the
-/// assigned id range `0..next_id` and every mark is clear.
+/// Checks every partner-dedup seen-set the blocker keeps, between calls:
+/// each covers the assigned id range `0..next_id` and every mark is clear.
 #[cfg(feature = "check-invariants")]
-pub(crate) fn check_seen_clear(marks: &[bool], next_id: u32) {
-    assert!(
-        marks.len() >= next_id as usize,
-        "check-invariants: the seen-set covers {} ids but {next_id} were assigned",
-        marks.len(),
-    );
-    let marked = marks.iter().filter(|&&mark| mark).count();
-    assert!(marked == 0, "check-invariants: {marked} seen-set marks left set after a write");
+pub(crate) fn check_seen_clear<'a>(seen_sets: impl IntoIterator<Item = &'a [bool]>, next_id: u32) {
+    for (worker, marks) in seen_sets.into_iter().enumerate() {
+        assert!(
+            marks.len() >= next_id as usize,
+            "check-invariants: seen-set {worker} covers {} ids but {next_id} were assigned",
+            marks.len(),
+        );
+        let marked = marks.iter().filter(|&&mark| mark).count();
+        assert!(marked == 0, "check-invariants: {marked} marks left set in seen-set {worker} after a write");
+    }
 }
 
 /// Checks the tombstone invariants of the incremental blocker: the removal
@@ -125,8 +128,8 @@ mod tests {
     #[test]
     fn accepts_good_state() {
         let mut emitted = std::collections::BTreeSet::new();
-        check_seen_clear(&[false, false, false], 3);
-        check_seen_clear(&[false, false, false], 2);
+        check_seen_clear([&[false, false, false][..]], 3);
+        check_seen_clear([&[false, false, false][..], &[false, false][..]], 2);
         check_delta_disjoint(&mut emitted, &crate::incremental::DeltaPairs::empty());
         assert!(emitted.is_empty());
         check_tombstones(&[true, false, true], 2, 3);
@@ -138,15 +141,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1 seen-set marks left set")]
+    #[should_panic(expected = "1 marks left set in seen-set 0")]
     fn trips_on_a_dirty_seen_set() {
-        check_seen_clear(&[false, true], 2);
+        check_seen_clear([&[false, true][..]], 2);
     }
 
     #[test]
-    #[should_panic(expected = "seen-set covers 1 ids")]
+    #[should_panic(expected = "seen-set 0 covers 1 ids")]
     fn trips_on_a_seen_set_short_of_the_id_space() {
-        check_seen_clear(&[false], 2);
+        check_seen_clear([&[false][..]], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 marks left set in seen-set 2")]
+    fn trips_on_a_dirty_extra_worker_seen_set() {
+        check_seen_clear([&[false, false][..], &[false, false][..], &[true, false][..]], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "seen-set 1 covers 1 ids")]
+    fn trips_on_an_extra_worker_seen_set_short_of_the_id_space() {
+        check_seen_clear([&[false, false][..], &[false][..]], 2);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   [`parallel_map`], each band's bucket map is updated by its own worker
 //!   through [`parallel_map_mut`], outcomes stitched in band order, and the
 //!   batch's delta anchors are split evenly over [`parallel_map_mut`] workers,
-//!   their keys concatenated in anchor order.
+//!   each walking with a seen-set and key buffer the blocker keeps from batch
+//!   to batch, their keys concatenated in anchor order.
 //!
 //! Every path sizes itself on the calling thread, through
 //! [`resolve_threads`] (parallel from [`PARALLEL_THRESHOLD`] records up) or
