@@ -635,9 +635,10 @@ impl IncrementalSaLshBlocker {
         // as a plain slice; only one holding some tests each member. The
         // batch is split evenly over the workers, whose keys are concatenated
         // in anchor order and whose counts are summed. Every worker's
-        // seen-set and key buffer are kept across batches (fresh pages cost
-        // more than the walk itself): the first worker writes into the
-        // previous delta's allocation, the others into their own buffers.
+        // seen-set and key buffer are kept across batches, so once they have
+        // grown a batch faults in no fresh pages for them: the first worker
+        // writes into the previous delta's allocation, the others into their
+        // own buffers.
         let chunk = records.len().div_ceil(threads);
         self.extra_workers.resize_with(records.len().div_ceil(chunk) - 1, Default::default);
         for (seen, _) in &mut self.extra_workers {
