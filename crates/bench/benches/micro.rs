@@ -1,11 +1,15 @@
 //! Micro-benchmarks of the hot paths: q-gram extraction, scoring one ranked
 //! query candidate (fresh hash sets, a reused hash set, and the
-//! allocation-free kernel), minhash signatures, semhash signatures, banding
-//! keys, the similarity metrics used by the baselines, the streaming Γ
-//! counter against the materialising `distinct_pairs()` oracle, and the
-//! partner walk of incremental ingest against the one-shot Γ counter's.
+//! allocation-free kernel), minhash signatures (one title, and the served
+//! profiles' generated rows, checked against the reference loop), semhash
+//! signatures, banding keys, the similarity metrics used by the baselines,
+//! the streaming Γ counter against the materialising `distinct_pairs()`
+//! oracle, and the partner walk of incremental ingest against the one-shot
+//! Γ counter's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 use sablock_core::blocking::{Block, BlockCollection, Blocker, EntityTableProbe, PairCounts};
@@ -20,6 +24,7 @@ use sablock_core::taxonomy::bib::bibliographic_taxonomy;
 use sablock_datasets::record::RecordPair;
 use sablock_datasets::{CoraConfig, CoraGenerator, RecordId};
 use sablock_eval::experiments::voter_dataset_of_size;
+use sablock_textual::hashing::mix64;
 use sablock_textual::qgrams::hashed_qgram_set;
 use sablock_textual::similarity::{SimilarityFunction, StringSimilarity};
 use sablock_textual::{jaccard, JaccardScorer, StableHashSet};
@@ -79,6 +84,25 @@ fn bench_textual(c: &mut Criterion) {
     group.finish();
 }
 
+/// Generated rows per served profile in the signature group.
+const SIGNATURE_ROWS: usize = 2_000;
+
+/// The minhash signature by definition, the loop the kernel replaced: per
+/// window, per hash function, keep the smaller of the slot and
+/// `mix64(window ^ seed)`, with the seeds `MinHasher::new` draws (one
+/// `StdRng::seed_from_u64(seed)` draw per hash function).
+fn reference_signature(num_hashes: usize, seed: u64, windows: &[u64]) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let seeds: Vec<u64> = (0..num_hashes).map(|_| rng.gen()).collect();
+    let mut signature = vec![u64::MAX; num_hashes];
+    for &window in windows {
+        for (slot, &seed) in signature.iter_mut().zip(&seeds) {
+            *slot = (*slot).min(mix64(window ^ seed));
+        }
+    }
+    signature
+}
+
 fn bench_signatures(c: &mut Criterion) {
     let shingles = hashed_qgram_set(TITLE_A, 4);
     let hasher = MinHasher::from_config(&MinhashConfig::cora_paper());
@@ -88,6 +112,37 @@ fn bench_signatures(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/signatures");
     group.bench_function("minhash_signature_252", |b| b.iter(|| hasher.signature(black_box(&shingles))));
     group.bench_function("band_keys_63", |b| b.iter(|| banding.band_keys(black_box(&signature))));
+
+    // The two served profiles (`sablock-serve --profile cora|voter`) over
+    // generated rows' window hashes, as block and ingest fold them: Cora
+    // titles and authors in trigrams into 8 × 2 = 16 hash functions, voter
+    // names and city in bigrams into 10 × 3 = 30.
+    let cora_config = CoraConfig { num_records: SIGNATURE_ROWS, ..CoraConfig::small() };
+    let cora = CoraGenerator::new(cora_config).generate().unwrap();
+    let voter = voter_dataset_of_size(SIGNATURE_ROWS).expect("voter dataset");
+    let profiles = [
+        ("cora_q3", &cora, RecordShingler::new(["title", "authors"], 3).unwrap(), 16),
+        ("voter_q2", &voter, RecordShingler::new(["first_name", "last_name", "city"], 2).unwrap(), 30),
+    ];
+    for (name, dataset, shingler, num_hashes) in profiles {
+        let (mut text, mut rows) = (String::new(), Vec::new());
+        for record in dataset.records() {
+            let mut windows = Vec::new();
+            shingler.window_hashes_into(record, &mut text, &mut windows);
+            rows.push(windows);
+        }
+        let hasher = MinHasher::new(num_hashes, 0xB10C);
+        for windows in &rows {
+            assert_eq!(
+                hasher.signature(windows),
+                reference_signature(num_hashes, 0xB10C, windows),
+                "the kernel must sign exactly like the reference loop"
+            );
+        }
+        group.bench_function(format!("{name}_{num_hashes}h_{SIGNATURE_ROWS}rows"), |b| {
+            b.iter(|| black_box(&rows).iter().map(|windows| hasher.signature(windows)[0]).fold(0, u64::wrapping_add))
+        });
+    }
     group.finish();
 }
 

@@ -23,7 +23,8 @@
 //! member lists the anchor belongs to, in plain slice loops; the kernel
 //! keeps each partner the first time it is marked, through a seen-set
 //! indexed by dense id, and hands the kept partners back as one slice after
-//! clearing exactly the marks it set. With every pair anchored on one of its
+//! clearing exactly the marks it set. A walk marks branch-free or tests and
+//! keeps, whichever the share of marks the recent walks kept favours. With every pair anchored on one of its
 //! two records, each distinct pair comes out exactly once, with
 //! O(redundant pairs) work, one O(records) seen-set per worker and no sort
 //! or merge — the entity index of Comparison Propagation in the Papadakis et
@@ -46,38 +47,98 @@ pub use sablock_datasets::record::MAX_RECORD_ID;
 /// collection's members — for the partner-dedup kernel
 /// ([`SeenSet::distinct_partners`]). Every kernel call leaves it all clear,
 /// so one set serves any number of anchors without a reset.
+///
+/// A walk marks one way or the other, with the same result:
+///
+/// * *branch-free*: every mark writes its partner one past the kept ones
+///   and advances the kept length by whether the mark was clear. That costs
+///   two stores per mark but never mispredicts, which pays where marks keep
+///   and repeat in no predictable pattern: the served workloads keep about
+///   three in four.
+/// * *test-and-keep*: a mark keeps its partner only if it was clear. Where
+///   few marks keep — one in fourteen in the paper-scale blockings, whose
+///   records share most of their blocks — the test is predictable and the
+///   stores are saved.
+///
+/// Each walk takes the branch-free way while the recent walks kept at least
+/// one mark in [`BRANCH_FREE_KEPT_SHARE`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeenSet {
     marks: Vec<bool>,
-    /// The partners the current call kept, in first-seen order — reused
-    /// across calls, so an anchor allocates nothing once it has grown.
+    /// A grow-only buffer whose first `len` entries (see [`PartnerMarks`])
+    /// are the partners the current call kept, in first-seen order; past
+    /// them lie stale entries of earlier calls. Reused across calls, so an
+    /// anchor allocates nothing once it has grown.
     kept: Vec<u32>,
+    /// Marks and kept partners of the recent walks, both halved whenever
+    /// the marks pass [`RECENT_MARKS`].
+    recent_marks: u64,
+    recent_kept: u64,
 }
+
+/// Walks mark branch-free while the recent walks kept at least one mark in
+/// this many.
+const BRANCH_FREE_KEPT_SHARE: u64 = 5;
+
+/// How many marks the recent walks of [`SeenSet`] span, within a factor of
+/// two.
+const RECENT_MARKS: u64 = 1 << 20;
 
 /// The marking side of one partner walk: what the walk closure of
 /// [`SeenSet::distinct_partners`] receives.
 pub(crate) struct PartnerMarks<'a> {
     marks: &'a mut [bool],
     kept: &'a mut Vec<u32>,
+    /// How many of `kept`'s first entries this walk has kept.
+    len: usize,
+    /// At most how many marks this walk has made.
+    marked: u64,
+    branch_free: bool,
 }
 
 impl PartnerMarks<'_> {
-    /// Marks one partner, keeping it if the walk has not marked it before.
-    /// The id must be below the seen-set's covered length.
+    /// Marks a list of partners, keeping each one the walk has not marked
+    /// before. Every id must be below the seen-set's covered length, and
+    /// the list must bound its length (`size_hint`), as slice iterators and
+    /// their maps and filters do.
     #[inline]
-    pub(crate) fn mark(&mut self, partner: u32) {
-        let mark = &mut self.marks[partner as usize];
-        if !*mark {
-            *mark = true;
-            self.kept.push(partner);
+    pub(crate) fn mark_all(&mut self, partners: impl Iterator<Item = u32>) {
+        // Room for every partner of the list up front, so the loops never
+        // grow the buffer. The kept length never passes the covered ids, so
+        // one more than those is always room enough.
+        let most = partners.size_hint().1.unwrap_or(usize::MAX);
+        let room = self.len.saturating_add(most).min(self.marks.len() + 1);
+        if self.kept.len() < room {
+            self.kept.resize(room, 0);
         }
+        self.marked = self.marked.saturating_add(u64::try_from(most).unwrap_or(u64::MAX));
+        let (kept, marks) = (&mut self.kept[..], &mut *self.marks);
+        let mut len = self.len;
+        if self.branch_free {
+            for partner in partners {
+                kept[len] = partner;
+                let mark = &mut marks[partner as usize];
+                len += usize::from(!*mark);
+                *mark = true;
+            }
+        } else {
+            for partner in partners {
+                let mark = &mut marks[partner as usize];
+                if !*mark {
+                    *mark = true;
+                    kept[len] = partner;
+                    len += 1;
+                }
+            }
+        }
+        self.len = len;
     }
 }
 
 impl SeenSet {
     /// A clear set covering ids `0..len`.
     pub(crate) fn with_len(len: usize) -> Self {
-        Self { marks: vec![false; len], kept: Vec::new() }
+        Self { marks: vec![false; len], ..Self::default() }
     }
 
     /// Grows the set to cover ids `0..len`; never shrinks.
@@ -93,12 +154,22 @@ impl SeenSet {
     /// order. Exactly the marks set here are cleared before it returns, so
     /// a call costs O(marked ids) whatever the size of the set.
     pub(crate) fn distinct_partners(&mut self, walk: impl FnOnce(&mut PartnerMarks<'_>)) -> &[u32] {
-        self.kept.clear();
-        walk(&mut PartnerMarks { marks: &mut self.marks, kept: &mut self.kept });
-        for &partner in &self.kept {
+        let branch_free = self.recent_kept.saturating_mul(BRANCH_FREE_KEPT_SHARE) >= self.recent_marks;
+        let mut marks =
+            PartnerMarks { marks: &mut self.marks, kept: &mut self.kept, len: 0, marked: 0, branch_free };
+        walk(&mut marks);
+        let (len, marked) = (marks.len, marks.marked);
+        self.recent_marks = self.recent_marks.saturating_add(marked);
+        self.recent_kept += len as u64;
+        if self.recent_marks > RECENT_MARKS {
+            self.recent_marks /= 2;
+            self.recent_kept /= 2;
+        }
+        let kept = &self.kept[..len];
+        for &partner in kept {
             self.marks[partner as usize] = false;
         }
-        &self.kept
+        kept
     }
 
     /// The marks, for the sanitizer's all-clear check.
@@ -197,6 +268,13 @@ impl Block {
         let mut seen = StableHashSet::default();
         members.retain(|id| seen.insert(*id));
         Self { key: key.into(), members }
+    }
+
+    /// A block over members already in strictly ascending id order, and so
+    /// already distinct: [`Block::new`] without its dedup set.
+    pub(crate) fn from_ascending(key: String, members: Vec<RecordId>) -> Self {
+        debug_assert!(members.windows(2).all(|pair| pair[0] < pair[1]), "block members must ascend strictly");
+        Self { key, members }
     }
 
     /// The bucket key that produced this block.
@@ -358,7 +436,10 @@ impl BlockCollection {
     ///
     /// Semantically this is `distinct_pairs()` followed by a count/filter,
     /// but nothing is sorted or merged. The member ids are mapped to dense
-    /// ranks, each block's ranks are sorted, and an inverted index lists, for
+    /// ranks — each id is its own rank when the largest id is below the
+    /// membership count, as a dataset's ids are, and otherwise one binary
+    /// search over the sorted distinct ids finds it — each block's ranks are
+    /// sorted, and an inverted index lists, for
     /// every rank, each block it sits in with its position there. A pair is
     /// anchored on its larger id, whose partners in a block are the ranks
     /// before it; the walk marks them slice by slice, and the partner-dedup
@@ -366,23 +447,39 @@ impl BlockCollection {
     /// anchors are cut into [`default_threads`] contiguous ranges of equal
     /// redundant-pair mass, one per [`parallel_map`] worker; the counts are
     /// sums, so they are identical for every worker count. Memory is
-    /// O(members) for the index plus one O(distinct members) seen-set per
-    /// worker — never O(|Γ|), and never O(largest id).
+    /// O(members) for the index plus one seen-set per worker over the ranks,
+    /// which never outnumber the members — never O(|Γ|), and never
+    /// O(largest id) beyond the membership count.
     pub fn stream_packed_counts<P: PackedProbe>(&self, probe: P) -> PairCounts {
-        // Dense ranks: `ids[rank]` is the member id of that rank.
-        let mut ids: Vec<RecordId> = self.blocks.iter().flat_map(|block| block.members().iter().copied()).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        // Dense ranks: `ids[rank]` is the member id of that rank. When every
+        // id is below the membership count, as a dataset's ids are, each id
+        // is its own rank; otherwise the ranks are the distinct ids in
+        // order. Either way `ids` is O(members).
+        let memberships: usize = self.blocks.iter().map(Block::len).sum();
+        let top = self.blocks.iter().flat_map(Block::members).map(|id| id.index() + 1).max().unwrap_or(0);
+        let dense_top = u32::try_from(top).ok().filter(|_| top <= memberships);
+        let ids: Vec<RecordId> = match dense_top {
+            Some(top) => (0..top).map(RecordId).collect(),
+            None => {
+                let mut ids: Vec<RecordId> = self.blocks.iter().flat_map(Block::members).copied().collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            }
+        };
 
         // Every block's members as ascending ranks, the blocks laid end to
         // end. The rank of an id among distinct `u32` ids never exceeds the
         // id, so it fits a `u32`.
-        let mut ranks: Vec<u32> = Vec::with_capacity(self.blocks.iter().map(Block::len).sum());
+        let mut ranks: Vec<u32> = Vec::with_capacity(memberships);
         for block in &self.blocks {
             let start = ranks.len();
-            ranks.extend(block.members().iter().map(|id| {
-                u32::try_from(ids.partition_point(|other| other < id)).expect("a rank never exceeds its id")
-            }));
+            match dense_top {
+                Some(_) => ranks.extend(block.members().iter().map(|id| id.0)),
+                None => ranks.extend(block.members().iter().map(|id| {
+                    u32::try_from(ids.partition_point(|other| other < id)).expect("a rank never exceeds its id")
+                })),
+            }
             ranks[start..].sort_unstable();
         }
 
@@ -441,9 +538,7 @@ impl BlockCollection {
                 let entries = &index[offsets[anchor]..offsets[anchor + 1]];
                 let partners = seen.distinct_partners(|marks| {
                     for &(start, position) in entries {
-                        for &partner in &ranks[start..position] {
-                            marks.mark(partner);
-                        }
+                        marks.mark_all(ranks[start..position].iter().copied());
                     }
                 });
                 let larger = ids[anchor];
@@ -508,6 +603,7 @@ impl<B: Blocker + ?Sized> Blocker for Box<B> {
 mod tests {
     use super::*;
     use crate::parallel::with_threads;
+    use proptest::prelude::*;
 
     fn rid(i: u32) -> RecordId {
         RecordId(i)
@@ -613,23 +709,58 @@ mod tests {
         assert_eq!(pairs.iter().filter(|&&p| p == p12).count(), 1);
     }
 
-    #[test]
-    fn seen_set_keeps_first_occurrences_and_leaves_itself_clear() {
-        let mut seen = SeenSet::with_len(4);
-        let distinct = |seen: &mut SeenSet, partners: &[u32]| {
-            seen.distinct_partners(|marks| {
-                for &partner in partners {
-                    marks.mark(partner);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Successive walks through one seen-set, the longest first, so that
+        /// stale partners of earlier walks sit past every later walk's kept
+        /// length: each walk returns exactly its first-seen dedup and leaves
+        /// every mark clear. A walk marking one id 200 times keeps one mark
+        /// in 200, so the walk after it tests and keeps, and a few keeping
+        /// walks later they mark branch-free again: both ways run.
+        #[test]
+        fn seen_set_keeps_first_occurrences_and_leaves_itself_clear(
+            long in proptest::collection::vec(0u32..48, 48..96),
+            walks in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..24), 1..12),
+        ) {
+            let mut seen = SeenSet::with_len(4);
+            let walks = walks.into_iter().map(|walk| match walk.first() {
+                Some(&partner) if partner % 3 == 0 => vec![partner; 200],
+                _ => walk,
+            });
+            for walk in std::iter::once(long).chain(walks) {
+                // The set grows with the id space, as ingest grows it.
+                seen.grow(walk.iter().max().map_or(0, |&top| top as usize + 1));
+                let kept = seen.distinct_partners(|marks| marks.mark_all(walk.iter().copied())).to_vec();
+                let mut expected: Vec<u32> = Vec::new();
+                for &partner in &walk {
+                    if !expected.contains(&partner) {
+                        expected.push(partner);
+                    }
                 }
-            })
-            .to_vec()
+                prop_assert_eq!(kept, expected);
+                prop_assert!(seen.marks.iter().all(|&mark| !mark));
+            }
+        }
+    }
+
+    #[test]
+    fn seen_set_marks_branch_free_while_recent_walks_keep_enough() {
+        let mut seen = SeenSet::with_len(8);
+        let mut walk = |partners: &[u32]| {
+            let branch_free = seen.recent_kept * BRANCH_FREE_KEPT_SHARE >= seen.recent_marks;
+            let kept = seen.distinct_partners(|marks| marks.mark_all(partners.iter().copied())).to_vec();
+            (branch_free, kept)
         };
-        assert_eq!(distinct(&mut seen, &[3, 1, 3, 0, 1]), [3, 1, 0]);
-        // The call cleared its marks, so the next anchor sees every id again.
-        assert_eq!(distinct(&mut seen, &[1, 1]), [1]);
-        assert!(distinct(&mut seen, &[]).is_empty());
-        seen.grow(6);
-        assert_eq!(distinct(&mut seen, &[5, 2, 5]), [5, 2]);
+        // A fresh set marks branch-free, and so does the walk after 3 of 5
+        // marks kept.
+        assert_eq!(walk(&[3, 1, 3, 0, 1]), (true, vec![3, 1, 0]));
+        assert_eq!(walk(&[2; 40]), (true, vec![2]));
+        // 4 of 45 marks kept, under one in five: test and keep, until the
+        // recent walks keep 16 of 60.
+        assert_eq!(walk(&[5, 2, 5, 7, 6]), (false, vec![5, 2, 7, 6]));
+        assert_eq!(walk(&[4, 4, 1, 6, 0, 3, 5, 7, 2, 1]), (false, vec![4, 1, 6, 0, 3, 5, 7, 2]));
+        assert_eq!(walk(&[]), (true, vec![]));
         assert!(seen.marks.iter().all(|&mark| !mark));
     }
 

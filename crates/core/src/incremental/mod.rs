@@ -668,13 +668,10 @@ impl IncrementalSaLshBlocker {
                 let partners = seen.distinct_partners(|marks| {
                     for &(members, dead) in &lists {
                         if dead {
-                            for member in members.iter().filter(|member| !removed[member.index()]) {
-                                marks.mark(member.0);
-                            }
+                            let live = members.iter().filter(|member| !removed[member.index()]);
+                            marks.mark_all(live.map(|member| member.0));
                         } else {
-                            for member in members {
-                                marks.mark(member.0);
-                            }
+                            marks.mark_all(members.iter().map(|member| member.0));
                         }
                     }
                 });
@@ -767,9 +764,8 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
                     let Some(bucket) = bands[reference.band].get(&reference.key) else {
                         continue;
                     };
-                    for member in bucket.members.iter().filter(|member| !removed[member.index()]) {
-                        marks.mark(member.0);
-                    }
+                    let live = bucket.members.iter().filter(|member| !removed[member.index()]);
+                    marks.mark_all(live.map(|member| member.0));
                 }
             });
             let probe = EntityTableProbe::new(&self.entity_of);

@@ -132,7 +132,8 @@ impl BucketScheme {
     }
 
     /// The block of band `band`'s bucket `key`, or `None` when it has fewer
-    /// than two members and so no pair.
+    /// than two members and so no pair. The members must ascend strictly,
+    /// as a bucket's members and a key run of sorted placements do.
     pub(crate) fn block(&self, band: usize, (bucket, sub): BucketKey, members: Vec<RecordId>) -> Option<Block> {
         if members.len() < 2 {
             return None;
@@ -141,7 +142,7 @@ impl BucketScheme {
             Some(_) => format!("b{band}:{bucket:016x}:g{sub}"),
             None => format!("b{band}:{bucket:016x}"),
         };
-        Some(Block::new(key, members))
+        Some(Block::from_ascending(key, members))
     }
 
     /// Band `band`'s blocks, in key order, from its sorted

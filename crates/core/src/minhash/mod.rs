@@ -9,12 +9,18 @@
 //! `h_i(x) = fmix64(x ⊕ seed_i)` for independent pseudo-random seeds — the
 //! standard "one strong mixer, many seeds" construction, which behaves as a
 //! min-wise independent family for practical purposes.
+//!
+//! `fmix64` opens with `x ^= x >> 33`, which is XOR-linear, so
+//! `fmix64(x ⊕ seed)` is the rest of `fmix64` applied to `premix(x) ⊕
+//! premix(seed)`. [`MinHasher::signature`] premixes every shingle once and
+//! then runs the hash functions outer and the shingles inner, four
+//! independent minima at a time: the same hash family and the same minima as
+//! one `fmix64` per (shingle, seed), with fewer operations and no branch.
 
 pub mod shingle;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sablock_textual::hashing::mix64;
 
 use crate::error::{CoreError, Result};
 
@@ -121,15 +127,21 @@ impl MinHasher {
     /// matching how empty values are treated elsewhere in the framework.
     pub fn signature<'a>(&self, shingles: impl IntoIterator<Item = &'a u64>) -> MinhashSignature {
         let mut signature = vec![u64::MAX; self.seeds.len()];
-        for &shingle in shingles {
-            for (slot, &seed) in signature.iter_mut().zip(self.seeds.iter()) {
-                let h = mix64(shingle ^ seed);
-                if h < *slot {
-                    *slot = h;
-                }
+        // Shingles are premixed into a stack buffer and folded a buffer at
+        // a time, so a signature allocates nothing but itself.
+        let mut premixed = [0u64; SHINGLE_BATCH];
+        let mut shingles = shingles.into_iter();
+        loop {
+            let mut len = 0;
+            for (slot, &shingle) in premixed.iter_mut().zip(&mut shingles) {
+                *slot = premix(shingle);
+                len += 1;
+            }
+            fold_minima(&mut signature, &self.seeds, &premixed[..len]);
+            if len < SHINGLE_BATCH {
+                return signature;
             }
         }
-        signature
     }
 
     /// Estimates the Jaccard similarity of two shingle sets from their
@@ -149,11 +161,71 @@ impl MinHasher {
     }
 }
 
+/// Shingles [`MinHasher::signature`] premixes and folds per pass: a record
+/// of more shingles takes several passes.
+const SHINGLE_BATCH: usize = 256;
+
+/// The opening, XOR-linear step of
+/// [`mix64`](sablock_textual::hashing::mix64).
+#[inline]
+fn premix(x: u64) -> u64 {
+    x ^ (x >> 33)
+}
+
+/// The rest of [`mix64`](sablock_textual::hashing::mix64) after
+/// [`premix`]: `mix64(x ^ y) == mix64_tail(premix(x) ^ premix(y))`.
+#[inline]
+fn mix64_tail(mut x: u64) -> u64 {
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// Lowers each slot of `signature` to the minimum of its hash function over
+/// the `premixed` shingles: seeds outer, shingles inner, with four
+/// independent minima so that the multiplies of neighbouring shingles
+/// overlap.
+#[inline]
+fn fold_minima(signature: &mut [u64], seeds: &[u64], premixed: &[u64]) {
+    let quads = premixed.chunks_exact(4);
+    let rest = quads.remainder();
+    for (slot, &seed) in signature.iter_mut().zip(seeds) {
+        let seed = premix(seed);
+        let mut minima = [*slot, u64::MAX, u64::MAX, u64::MAX];
+        for quad in quads.clone() {
+            for (minimum, &shingle) in minima.iter_mut().zip(quad) {
+                *minimum = (*minimum).min(mix64_tail(shingle ^ seed));
+            }
+        }
+        for &shingle in rest {
+            minima[0] = minima[0].min(mix64_tail(shingle ^ seed));
+        }
+        *slot = minima[0].min(minima[1]).min(minima[2].min(minima[3]));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sablock_textual::hashing::StableHashSet;
+    use sablock_textual::hashing::{mix64, StableHashSet};
     use sablock_textual::qgrams::hashed_qgram_set;
+
+    /// The signature by definition: per hash function, the minimum over the
+    /// shingles of `mix64(shingle ^ seed)`.
+    pub(super) fn reference_signature(hasher: &MinHasher, shingles: &[u64]) -> MinhashSignature {
+        let minimum = |seed: u64| shingles.iter().map(|&shingle| mix64(shingle ^ seed)).min().unwrap_or(u64::MAX);
+        hasher.seeds.iter().map(|&seed| minimum(seed)).collect()
+    }
+
+    #[test]
+    fn signatures_span_several_shingle_batches() {
+        let hasher = MinHasher::new(30, 0xB10C);
+        let shingles: Vec<u64> = (0..3 * SHINGLE_BATCH as u64 + 3).map(|i| mix64(i.wrapping_mul(0x9E37))).collect();
+        for len in [SHINGLE_BATCH - 1, SHINGLE_BATCH, SHINGLE_BATCH + 1, shingles.len()] {
+            assert_eq!(hasher.signature(&shingles[..len]), reference_signature(&hasher, &shingles[..len]), "len={len}");
+        }
+    }
 
     fn shingles(text: &str, q: usize) -> StableHashSet<u64> {
         hashed_qgram_set(text, q)
@@ -269,6 +341,23 @@ mod proptests {
             let truth = sablock_textual::jaccard(&a, &b);
             let est = MinHasher::estimate_jaccard(&hasher.signature(&a), &hasher.signature(&b));
             prop_assert!((truth - est).abs() < 0.2, "truth {} vs estimate {}", truth, est);
+        }
+
+        #[test]
+        fn signature_matches_the_reference_fold(
+            shingles in proptest::collection::vec(any::<u64>().prop_map(|x| if x & 1 == 0 { x % 5 } else { x }), 0..14),
+            num_hashes in 1usize..41,
+            seed in any::<u64>(),
+        ) {
+            // Shingles drawn half from {0..4}, so repeats are common; every
+            // count mod 4 comes up, and no shingles at all must give the
+            // all-`u64::MAX` signature.
+            let hasher = MinHasher::new(num_hashes, seed);
+            let signature = hasher.signature(&shingles);
+            prop_assert_eq!(&signature, &super::tests::reference_signature(&hasher, &shingles));
+            if shingles.is_empty() {
+                prop_assert!(signature.iter().all(|&slot| slot == u64::MAX));
+            }
         }
 
         #[test]

@@ -224,8 +224,12 @@ proptest! {
 
     /// The dense-rank mapping of the streaming counter: ids from `0..9`
     /// mixed with ids within 9 of `MAX_RECORD_ID` count exactly like the
-    /// materialised evaluation, for 1 and 4 workers, and a probe that reads
-    /// the high ids sees each distinct pair once.
+    /// materialised evaluation, for 1, 2 and 4 workers, and a probe that
+    /// reads the high ids sees each distinct pair once. So do the same
+    /// blocks on ids `0..9` plus one block whose top id makes the largest
+    /// id + 1 equal the membership count — the largest id space whose ids
+    /// are their own ranks — or exceed it by one, the smallest that takes
+    /// the sorted ranks.
     #[test]
     fn streaming_counts_map_sparse_ids_to_dense_ranks(
         blocks in proptest::collection::vec(proptest::collection::vec(0u32..18, 0..6), 0..200),
@@ -244,7 +248,7 @@ proptest! {
         let reference = BlockingMetrics::evaluate_materialised(&collection, &truth);
         let high = |p: &RecordPair| p.second().0 > MAX_RECORD_ID - 9 && p.first().0 % 2 == 0;
         let expected_high = collection.distinct_pairs().iter().filter(|p| high(p)).count() as u64;
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let counts = with_threads(threads, || {
                 collection.stream_packed_counts(EntityTableProbe::new(truth.entity_table()))
             });
@@ -252,6 +256,33 @@ proptest! {
             prop_assert_eq!(counts.matching, reference.true_positives, "threads={}", threads);
             let counts = with_threads(threads, || collection.stream_packed_counts(high));
             prop_assert_eq!(counts.matching, expected_high, "threads={}", threads);
+        }
+
+        // The top block `{0..=pad, top}`: with `m` memberships before it,
+        // `top = m + pad + 1` makes the largest id + 1 equal all `m + pad + 2`
+        // memberships, and `pad` keeps `top` above every id in `0..9`.
+        let small: Vec<Block> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, members)| Block::new(format!("s{i}"), members.iter().map(|&v| RecordId(v % 9)).collect()))
+            .collect();
+        let memberships: usize = BlockCollection::from_blocks(small.clone()).blocks().iter().map(Block::len).sum();
+        let pad = 8usize.saturating_sub(memberships);
+        for past in [0usize, 1] {
+            let top = memberships + pad + 1 + past;
+            let mut edge = small.clone();
+            edge.push(Block::new("top", (0..=pad).chain([top]).map(|v| RecordId(u32::try_from(v).unwrap())).collect()));
+            let collection = BlockCollection::from_blocks(edge);
+            let members: usize = collection.blocks().iter().map(Block::len).sum();
+            prop_assert_eq!(top + 1, members + past);
+            let reference = BlockingMetrics::evaluate_materialised(&collection, &truth);
+            for threads in [1usize, 2, 4] {
+                let counts = with_threads(threads, || {
+                    collection.stream_packed_counts(EntityTableProbe::new(truth.entity_table()))
+                });
+                prop_assert_eq!(counts.distinct, reference.candidate_pairs, "past={} threads={}", past, threads);
+                prop_assert_eq!(counts.matching, reference.true_positives, "past={} threads={}", past, threads);
+            }
         }
     }
 
