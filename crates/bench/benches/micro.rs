@@ -1,20 +1,22 @@
-//! Micro-benchmarks of the hot paths: q-gram extraction, scoring one ranked
-//! query candidate (fresh hash sets, a reused hash set, and the
-//! allocation-free kernel), minhash signatures (one title, and the served
-//! profiles' generated rows, checked against the reference loop), semhash
-//! signatures, banding keys, the similarity metrics used by the baselines,
-//! the streaming Γ counter against the materialising `distinct_pairs()`
-//! oracle, and the partner walk of incremental ingest against the one-shot
-//! Γ counter's.
+//! Micro-benchmarks of the hot paths: q-gram extraction, ranked queries
+//! (the bounded top-k walk against scoring every candidate and sorting,
+//! under the served profiles), minhash signatures (one title, and the
+//! served profiles' generated rows, checked against the reference loop),
+//! semhash signatures, banding keys, the similarity metrics used by the
+//! baselines, the streaming Γ counter against the materialising
+//! `distinct_pairs()` oracle, and the partner walk of incremental ingest
+//! against the one-shot Γ counter's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use sablock_core::blocking::{Block, BlockCollection, Blocker, EntityTableProbe, PairCounts};
-use sablock_core::lsh::salsh::SaLshBlocker;
-use sablock_core::lsh::BandingScheme;
+use sablock_core::lsh::salsh::{SaLshBlocker, SaLshBlockerBuilder};
+use sablock_core::lsh::semantic_hash::SemanticMode;
+use sablock_core::lsh::{BandingScheme, SemanticConfig};
 use sablock_core::minhash::shingle::RecordShingler;
 use sablock_core::minhash::{MinHasher, MinhashConfig};
 use sablock_core::semantic::pattern::PatternSemanticFunction;
@@ -22,12 +24,13 @@ use sablock_core::semantic::semhash::SemhashFamily;
 use sablock_core::semantic::SemanticFunction;
 use sablock_core::taxonomy::bib::bibliographic_taxonomy;
 use sablock_datasets::record::RecordPair;
-use sablock_datasets::{CoraConfig, CoraGenerator, RecordId};
+use sablock_datasets::{CoraConfig, CoraGenerator, Dataset, Record, RecordId};
 use sablock_eval::experiments::voter_dataset_of_size;
+use sablock_serve::{CandidateService, EpochState};
 use sablock_textual::hashing::mix64;
 use sablock_textual::qgrams::hashed_qgram_set;
 use sablock_textual::similarity::{SimilarityFunction, StringSimilarity};
-use sablock_textual::{jaccard, JaccardScorer, StableHashSet};
+use sablock_textual::JaccardScorer;
 
 const TITLE_A: &str = "the cascade correlation learning architecture for neural networks";
 const TITLE_B: &str = "a genetic cascade correlation learning algorithm for neural nets";
@@ -36,41 +39,6 @@ fn bench_textual(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/textual");
     group.bench_function("qgram_set_q4", |b| b.iter(|| hashed_qgram_set(black_box(TITLE_A), 4)));
 
-    // One QUERYK candidate under the served Cora shingling (title + authors,
-    // q = 3), probe already shingled, scored three ways: a fresh hash set
-    // per candidate; window hashes in reused buffers collected into a
-    // reused hash set; the same window hashes scored by a loaded probe
-    // table. The middle case separates what the table adds from what
-    // reusing buffers saves.
-    let dataset = CoraGenerator::new(CoraConfig { num_records: 2, ..CoraConfig::small() }).generate().unwrap();
-    let (probe, candidate) = (&dataset.records()[0], &dataset.records()[1]);
-    let shingler = RecordShingler::new(["title", "authors"], 3).unwrap();
-    let probe_set = shingler.shingles(probe);
-    let (mut text, mut hashes, mut set) = (String::new(), Vec::new(), StableHashSet::default());
-    shingler.window_hashes_into(probe, &mut text, &mut hashes);
-    let mut scorer = JaccardScorer::default();
-    scorer.load(&hashes);
-    let mut score_reused_set = |candidate| {
-        shingler.window_hashes_into(candidate, &mut text, &mut hashes);
-        set.clear();
-        set.extend(hashes.iter().copied());
-        jaccard(&probe_set, &set)
-    };
-    let reference = jaccard(&probe_set, &shingler.shingles(candidate));
-    assert_eq!(score_reused_set(candidate), reference, "the reused set must score exactly like the reference");
-    group.bench_function("score_candidate_reference", |b| {
-        b.iter(|| jaccard(&probe_set, &shingler.shingles(black_box(candidate))))
-    });
-    group.bench_function("score_candidate_reused_set", |b| b.iter(|| score_reused_set(black_box(candidate))));
-    let (mut text, mut hashes) = (String::new(), Vec::new());
-    shingler.window_hashes_into(candidate, &mut text, &mut hashes);
-    assert_eq!(scorer.score(&hashes), reference, "the kernel must score exactly like the reference");
-    group.bench_function("score_candidate_kernel", |b| {
-        b.iter(|| {
-            shingler.window_hashes_into(black_box(candidate), &mut text, &mut hashes);
-            scorer.score(&hashes)
-        })
-    });
     for function in [
         SimilarityFunction::JaroWinkler,
         SimilarityFunction::QGram(2),
@@ -79,6 +47,90 @@ fn bench_textual(c: &mut Criterion) {
     ] {
         group.bench_function(format!("similarity/{}", function.name()), |b| {
             b.iter(|| function.similarity(black_box(TITLE_A), black_box(TITLE_B)))
+        });
+    }
+    group.finish();
+}
+
+/// Corpus rows and held-out probes per served profile in the ranked query
+/// group, and how many best candidates each probe asks for.
+const QUERYK_CORPUS: usize = 4_000;
+const QUERYK_PROBES: usize = 500;
+const QUERYK_K: usize = 10;
+
+/// The served profiles' blockers (`sablock-serve --profile cora|voter`).
+fn served_profiles() -> [(&'static str, SaLshBlockerBuilder, Dataset); 2] {
+    let tree = bibliographic_taxonomy();
+    let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
+    let family = SemhashFamily::from_all_leaves(&tree).unwrap();
+    let semantic =
+        SemanticConfig::new(tree, zeta).with_w(2).with_mode(SemanticMode::Or).with_seed(11).with_pinned_family(family);
+    let rows = QUERYK_CORPUS + QUERYK_PROBES;
+    let cora = CoraGenerator::new(CoraConfig { num_records: rows, ..CoraConfig::default() }).generate().unwrap();
+    let voter = voter_dataset_of_size(rows).expect("voter dataset");
+    let builder = || SaLshBlocker::builder().seed(0xB10C);
+    [
+        (
+            "cora",
+            builder().attributes(["title", "authors"]).qgram(3).bands(8).rows_per_band(2).semantic(semantic),
+            cora,
+        ),
+        ("voter", builder().attributes(["first_name", "last_name", "city"]).qgram(2).bands(10).rows_per_band(3), voter),
+    ]
+}
+
+/// The ranking the bounded walk must reproduce: every candidate scored in
+/// full, all of them sorted by score descending then id ascending, the
+/// first `k` kept.
+fn score_all_and_sort(state: &EpochState, probe: &Record, k: usize) -> Vec<(RecordId, f64)> {
+    let shingler = state.view().shingler();
+    let (mut text, mut hashes) = (String::new(), Vec::new());
+    shingler.window_hashes_into(probe, &mut text, &mut hashes);
+    let mut scorer = JaccardScorer::default();
+    scorer.load(&hashes);
+    let mut scored: Vec<(RecordId, f64)> = state
+        .query(probe)
+        .unwrap()
+        .into_iter()
+        .map(|id| {
+            scorer.start(f64::NEG_INFINITY);
+            shingler.walk_windows(state.record(id).unwrap(), &mut text, |hash, rest| scorer.push(hash, rest));
+            (id, scorer.jaccard())
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// `QUERYK 10` for held-out probes over each served profile's generated
+/// rows: the bounded top-k walk of `EpochState::query_top_k` against
+/// scoring every candidate and sorting. Both include the candidate lookup;
+/// setup asserts that they rank every probe the same.
+fn bench_queryk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro/queryk");
+    // A sample ranks 500 probes (tens to hundreds of ms); ten keep the
+    // group to seconds.
+    group.sample_size(10);
+    for (name, builder, dataset) in served_profiles() {
+        let service = CandidateService::new(builder.into_incremental().unwrap(), Arc::clone(dataset.schema())).unwrap();
+        let rows: Vec<Vec<Option<String>>> = dataset.records().iter().map(|record| record.values().to_vec()).collect();
+        let (corpus, held_out) = rows.split_at(QUERYK_CORPUS);
+        service.insert_rows(corpus.to_vec()).unwrap();
+        let state = service.current();
+        let probes: Vec<Record> = held_out.iter().map(|values| service.probe_record(&state, values.clone()).unwrap()).collect();
+        for probe in &probes {
+            assert_eq!(
+                state.query_top_k(probe, QUERYK_K).unwrap(),
+                score_all_and_sort(&state, probe, QUERYK_K),
+                "the bounded walk must rank exactly like scoring every candidate"
+            );
+        }
+        group.bench_function(format!("{name}_bounded_walk_{QUERYK_PROBES}probes"), |b| {
+            b.iter(|| probes.iter().map(|probe| state.query_top_k(black_box(probe), QUERYK_K).unwrap().len()).sum::<usize>())
+        });
+        group.bench_function(format!("{name}_score_all_and_sort_{QUERYK_PROBES}probes"), |b| {
+            b.iter(|| probes.iter().map(|probe| score_all_and_sort(&state, black_box(probe), QUERYK_K).len()).sum::<usize>())
         });
     }
     group.finish();
@@ -262,5 +314,5 @@ fn bench_partner_walk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_textual, bench_signatures, bench_semantics, bench_gamma_count, bench_partner_walk);
+criterion_group!(benches, bench_textual, bench_queryk, bench_signatures, bench_semantics, bench_gamma_count, bench_partner_walk);
 criterion_main!(benches);

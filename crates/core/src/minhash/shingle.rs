@@ -4,7 +4,7 @@
 use sablock_datasets::{Dataset, Record};
 use sablock_textual::hashing::StableHashSet;
 use sablock_textual::normalize::normalize_into;
-use sablock_textual::qgrams::hash_qgrams_into;
+use sablock_textual::qgrams::walk_qgram_hashes;
 use sablock_textual::setsim::jaccard;
 
 use super::{MinHasher, MinhashSignature};
@@ -61,7 +61,7 @@ impl RecordShingler {
     /// The normalised text of a record over the selected attributes.
     pub fn text(&self, record: &Record) -> String {
         let mut text = String::new();
-        self.text_into(record, &mut text);
+        normalize_into(self.values(record), &mut text);
         text
     }
 
@@ -73,14 +73,29 @@ impl RecordShingler {
     }
 
     /// The hash of every q-gram window of the record's normalised text, in
-    /// order and with repeats — the shingle set before deduplication, and
-    /// the one shingling path: [`RecordShingler::shingles`] collects it,
-    /// minhash signatures fold it, and ranked queries score it. `text` and
-    /// `hashes` are working buffers, overwritten; reusing them across
-    /// records allocates nothing once they are large enough.
+    /// order and with repeats — the shingle set before deduplication:
+    /// [`RecordShingler::shingles`] collects it and minhash signatures fold
+    /// it. `text` and `hashes` are working buffers, overwritten; reusing
+    /// them across records allocates nothing once they are large enough.
     pub fn window_hashes_into(&self, record: &Record, text: &mut String, hashes: &mut Vec<u64>) {
-        self.text_into(record, text);
-        hash_qgrams_into(text, self.qgram, hashes);
+        hashes.clear();
+        self.walk_windows(record, text, |hash, rest| {
+            // The first window's bound sizes the buffer once; the bound
+            // never grows, so later calls allocate nothing.
+            hashes.reserve(rest + 1);
+            hashes.push(hash);
+            true
+        });
+    }
+
+    /// The one shingling path: [`RecordShingler::window_hashes_into`] one
+    /// window at a time, straight from the raw values, each hash with an
+    /// upper bound on how many windows follow it (see
+    /// [`walk_qgram_hashes`]). Stops as soon as `visit` returns `false`,
+    /// which lets a ranked query give a candidate up part-way; returns
+    /// whether every window was visited. `text` is a working buffer.
+    pub fn walk_windows(&self, record: &Record, text: &mut String, visit: impl FnMut(u64, usize) -> bool) -> bool {
+        walk_qgram_hashes(self.values(record), self.qgram, text, visit)
     }
 
     /// The minhash signature of a record's window hashes, or `None` for a
@@ -95,10 +110,10 @@ impl RecordShingler {
         (!hashes.is_empty()).then(|| hasher.signature(&hashes))
     }
 
-    /// [`RecordShingler::text`] into a reused buffer. Missing values and
-    /// attributes the schema lacks contribute nothing.
-    fn text_into(&self, record: &Record, text: &mut String) {
-        normalize_into(self.attributes.iter().filter_map(|attribute| record.value(attribute)), text);
+    /// The record's values of the selected attributes, in order. Missing
+    /// values and attributes the schema lacks contribute nothing.
+    fn values<'r>(&'r self, record: &'r Record) -> impl Iterator<Item = &'r str> + Clone {
+        self.attributes.iter().filter_map(move |attribute| record.value(attribute))
     }
 
     /// The exact Jaccard textual similarity of two records under this
@@ -182,5 +197,88 @@ mod tests {
         assert!(s.validate_against(&ds).is_err());
         let ok = RecordShingler::new(["title", "authors"], 4).unwrap();
         assert!(ok.validate_against(&ds).is_ok());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use sablock_datasets::{RecordId, Schema};
+    use sablock_textual::qgrams::hash_qgrams_into;
+    use sablock_textual::JaccardScorer;
+    use std::sync::Arc;
+
+    /// Values that reach every path of the walk: missing, empty,
+    /// whitespace-only and punctuation-only values, ASCII words with runs of
+    /// separators and repeated grams, one- and two-letter texts (shorter
+    /// than most q), and non-ASCII letters and separators.
+    const VALUES: &[Option<&str>] = &[
+        None,
+        Some(""),
+        Some(" \t "),
+        Some("..!?"),
+        Some("a"),
+        Some("Ab"),
+        Some("smith"),
+        Some("O'Brien--Smith,,  Jr."),
+        Some("ab ab ab"),
+        Some("x1 y2"),
+        Some("Straße"),
+        Some("—"),
+        Some("İz"),
+        Some("Wang, Qing"),
+    ];
+
+    fn arb_row() -> impl Strategy<Value = Vec<Option<String>>> {
+        proptest::collection::vec(0usize..VALUES.len(), 3)
+            .prop_map(|picks| picks.into_iter().map(|pick| VALUES[pick].map(String::from)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn bounded_walks_keep_every_candidate_that_beats_the_floor(
+            rows in proptest::collection::vec(arb_row(), 2..24),
+            q in 1usize..9,
+            picks in proptest::collection::vec(any::<u8>(), 24)
+        ) {
+            // The reference normalises the joined text and hashes its grams
+            // into sets, apart from the walk. Floors: none, the exact score,
+            // just below it, or an arbitrary one.
+            let schema = Schema::shared(["a", "b", "c"]).unwrap();
+            let shingler = RecordShingler::new(["c", "a", "b"], q).unwrap();
+            let records: Vec<Record> = (0u32..)
+                .zip(rows)
+                .map(|(id, values)| Record::new(RecordId(id), Arc::clone(&schema), values).unwrap())
+                .collect();
+            let reference_set = |record: &Record| {
+                let mut hashes = Vec::new();
+                hash_qgrams_into(&shingler.text(record), q, &mut hashes);
+                hashes.into_iter().collect::<StableHashSet<u64>>()
+            };
+            let (probe, candidates) = records.split_first().unwrap();
+            let (mut text, mut hashes) = (String::new(), Vec::new());
+            shingler.window_hashes_into(probe, &mut text, &mut hashes);
+            let mut scorer = JaccardScorer::default();
+            scorer.load(&hashes);
+            for (candidate, pick) in candidates.iter().zip(picks) {
+                let reference = jaccard(&reference_set(probe), &reference_set(candidate));
+                let floor = match pick % 4 {
+                    0 => f64::NEG_INFINITY,
+                    1 => reference,
+                    2 if reference > 0.0 => f64::from_bits(reference.to_bits() - 1),
+                    2 => -f64::MIN_POSITIVE,
+                    _ => f64::from(pick) / 255.0,
+                };
+                scorer.start(floor);
+                let kept = shingler.walk_windows(candidate, &mut text, |hash, rest| scorer.push(hash, rest));
+                prop_assert!(kept || reference <= floor, "q {}: {:?} scores {} but was dropped below {}", q, candidate.values(), reference, floor);
+                if kept {
+                    prop_assert_eq!(scorer.jaccard(), reference, "q {}: {:?} against {:?}", q, candidate.values(), probe.values());
+                }
+            }
+        }
     }
 }

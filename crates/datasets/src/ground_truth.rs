@@ -38,7 +38,6 @@ impl GroundTruth {
     pub fn from_assignments(entity_of: Vec<EntityId>) -> Self {
         let mut clusters: BTreeMap<EntityId, Vec<RecordId>> = BTreeMap::new();
         for (i, &entity) in entity_of.iter().enumerate() {
-            // sablock-lint: allow(panic-reachability): dataset generation caps assignments at MAX_RECORD_ID; only a name-heuristic `.truncate` edge makes this request-reachable
             let id = RecordId::try_from_index(i).expect("assignment table exceeds MAX_RECORD_ID records");
             clusters.entry(entity).or_default().push(id);
         }

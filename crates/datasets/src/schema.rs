@@ -5,7 +5,6 @@
 //! of the attributes they should consider (e.g. `title` + `authors` for Cora,
 //! `first_name` + `last_name` for NC Voter).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{DatasetError, Result};
@@ -14,7 +13,6 @@ use crate::error::{DatasetError, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     names: Vec<String>,
-    index: HashMap<String, usize>,
 }
 
 impl Schema {
@@ -33,13 +31,12 @@ impl Schema {
         S: Into<String>,
     {
         let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        let mut index = HashMap::with_capacity(names.len());
         for (i, name) in names.iter().enumerate() {
-            if index.insert(name.clone(), i).is_some() {
+            if names[..i].contains(name) {
                 return Err(DatasetError::InvalidConfig(format!("duplicate attribute name: {name}")));
             }
         }
-        Ok(Self { names, index })
+        Ok(Self { names })
     }
 
     /// Builds a schema, wrapped in an [`Arc`] for cheap sharing across records.
@@ -66,9 +63,11 @@ impl Schema {
         &self.names
     }
 
-    /// Position of an attribute by name.
+    /// Position of an attribute by name. A scan, not a hash map: schemas
+    /// are a handful of attributes, and every record value read by name
+    /// comes through here.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        self.names.iter().position(|candidate| candidate == name)
     }
 
     /// Position of an attribute by name, or an error naming the attribute.

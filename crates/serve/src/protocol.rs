@@ -389,6 +389,21 @@ mod tests {
     }
 
     #[test]
+    fn queryk_sizes_its_ranking_by_the_candidates_not_by_k() {
+        let service = service();
+        handle_line(&service, "INSERT\ta theory for record linkage\tfellegi");
+        handle_line(&service, "INSERT\ta theory of record linkage\tsunter");
+        handle_line(&service, "INSERT\tthe theory of record linkage\tx");
+        // k = u64::MAX (`usize::MAX` here) ranks every candidate, and must
+        // not reserve room for k of them.
+        let all = handle_line(&service, "QUERYK\t18446744073709551615\ta theory of record linkage");
+        let limited = handle_line(&service, "QUERYK\t3\ta theory of record linkage");
+        assert!(all.reply().starts_with("OK 3 1:1.0000 "), "{}", all.reply());
+        assert_eq!(all.reply(), limited.reply());
+        assert_eq!(handle_line(&service, "QUERYK\t0\ta theory of record linkage").reply(), "OK 0");
+    }
+
+    #[test]
     fn stats_format_is_pinned() {
         let service = service();
         // Freshly built, nothing counted: every field renders, in order.

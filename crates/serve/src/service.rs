@@ -29,6 +29,8 @@
 //!
 //! [`SaLshBlocker::block`]: sablock_core::prelude::SaLshBlocker
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -62,8 +64,9 @@ pub(crate) enum WriteOp {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryBudget {
     /// Degrade if the probe collides with more than this many candidates —
-    /// the scoring pass is O(candidates × shingles) and this bound caps it
-    /// before any scoring happens.
+    /// the scoring pass is O(candidates × windows walked), at most one
+    /// candidate's windows each, and this bound caps it before any scoring
+    /// happens.
     pub max_candidates: Option<usize>,
     /// Degrade as soon as scoring is still running at this instant. Checked
     /// between scoring chunks, so overrun is bounded by one chunk.
@@ -142,6 +145,10 @@ impl EpochState {
     /// cannot happen for epochs this crate publishes — score 0. `k = 0`
     /// returns the empty ranking without scoring anything; `k` beyond the
     /// candidate count returns the full ranked set.
+    ///
+    /// The top `k` are exact, but a candidate's q-gram windows are walked
+    /// only until its Jaccard bound shows that it cannot beat the `k`-th
+    /// best so far ([`JaccardScorer`]); nothing is cached per record.
     pub fn query_top_k(&self, record: &Record, k: usize) -> Result<Vec<(RecordId, f64)>> {
         match self.query_top_k_budgeted(record, k, &QueryBudget::unlimited())? {
             QueryOutcome::Ranked(ranked) => Ok(ranked),
@@ -167,36 +174,46 @@ impl EpochState {
                 return Ok(QueryOutcome::Degraded { candidates, reason });
             }
         }
-        // One probe table and two buffers serve every candidate, so scoring
-        // one allocates nothing.
+        // One probe table and one text buffer serve every candidate.
+        // Candidates arrive in ascending id, so every kept entry wins a tie
+        // against the current one, which must score strictly above the k-th
+        // best to enter: once its Jaccard bound is at most that score, its
+        // walk stops.
         let shingler = self.view.shingler();
         let (mut text, mut hashes) = (String::new(), Vec::new());
         shingler.window_hashes_into(record, &mut text, &mut hashes);
         let mut scorer = JaccardScorer::default();
         scorer.load(&hashes);
-        let mut scored: Vec<(RecordId, f64)> = Vec::with_capacity(candidates.len());
-        let mut deadline_hit = false;
+        // The kept entries, worst on top. Scores are non-negative, where an
+        // `f64`'s bits order like its value; the larger id loses a tie.
+        let mut best: BinaryHeap<(Reverse<u64>, RecordId)> = BinaryHeap::with_capacity(k.min(candidates.len()));
         for chunk in candidates.chunks(SCORE_CHUNK) {
             if let Some(deadline) = budget.deadline {
                 if Instant::now() >= deadline {
-                    deadline_hit = true;
-                    break;
+                    return Ok(QueryOutcome::Degraded { candidates, reason: DegradeReason::Deadline });
                 }
             }
             for &id in chunk {
-                let score = self.store.get(id).map_or(0.0, |candidate| {
-                    shingler.window_hashes_into(candidate, &mut text, &mut hashes);
-                    scorer.score(&hashes)
+                let floor = match best.peek() {
+                    Some(&(Reverse(worst), _)) if best.len() == k => f64::from_bits(worst),
+                    _ => f64::NEG_INFINITY,
+                };
+                scorer.start(floor);
+                // A candidate missing from the store pushes nothing: it scores 0.
+                let walked = self.store.get(id).map_or(true, |candidate| {
+                    shingler.walk_windows(candidate, &mut text, |hash, rest| scorer.push(hash, rest))
                 });
-                scored.push((id, score));
+                let score = scorer.jaccard();
+                if walked && score > floor {
+                    if best.len() == k {
+                        best.pop();
+                    }
+                    best.push((Reverse(score.to_bits()), id));
+                }
             }
         }
-        if deadline_hit {
-            return Ok(QueryOutcome::Degraded { candidates, reason: DegradeReason::Deadline });
-        }
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scored.truncate(k);
-        Ok(QueryOutcome::Ranked(scored))
+        let ranked = best.into_sorted_vec().into_iter().map(|(Reverse(bits), id)| (id, f64::from_bits(bits)));
+        Ok(QueryOutcome::Ranked(ranked.collect()))
     }
 
     /// The stored record with the given id (present for every ingested id,

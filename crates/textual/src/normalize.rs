@@ -51,15 +51,7 @@ pub fn normalize_into<'a>(values: impl IntoIterator<Item = &'a str>, out: &mut S
         out.reserve(value.len() + 1);
         if value.is_ascii() {
             for &byte in value.as_bytes() {
-                if byte.is_ascii_alphanumeric() {
-                    if pending_space && !out.is_empty() {
-                        out.push(' ');
-                    }
-                    pending_space = false;
-                    out.push(char::from(byte.to_ascii_lowercase()));
-                } else {
-                    pending_space = true;
-                }
+                normalize_ascii_byte(byte, &mut pending_space, !out.is_empty(), |normal| out.push(char::from(normal)));
             }
         } else {
             for ch in value.chars() {
@@ -74,6 +66,25 @@ pub fn normalize_into<'a>(values: impl IntoIterator<Item = &'a str>, out: &mut S
                 }
             }
         }
+    }
+}
+
+/// [`normalize_into`]'s rule for one ASCII byte, shared with the fused
+/// q-gram walk ([`crate::qgrams::walk_qgram_hashes`]) so the two cannot
+/// drift: a separator only sets `pending_space`; an alphanumeric byte is
+/// emitted lower-cased, after one joining space when a separator (or a
+/// value boundary) came since the last emitted byte and `started` says
+/// some byte was already emitted.
+#[inline(always)]
+pub(crate) fn normalize_ascii_byte(byte: u8, pending_space: &mut bool, started: bool, mut emit: impl FnMut(u8)) {
+    if byte.is_ascii_alphanumeric() {
+        if *pending_space && started {
+            emit(b' ');
+        }
+        *pending_space = false;
+        emit(byte.to_ascii_lowercase());
+    } else {
+        *pending_space = true;
     }
 }
 

@@ -7,7 +7,7 @@
 //! `q ∈ {2, 3, 4}` (Fig. 6) and pick `q = 4` for Cora, `q = 2` for NC Voter.
 
 use crate::hashing::{hash_packed, hash_str, StableHashSet};
-use crate::normalize::normalize;
+use crate::normalize::{normalize, normalize_ascii_byte, normalize_into};
 use crate::setsim::jaccard;
 
 /// Extracts every q-gram window of a normalised string, in order —
@@ -80,11 +80,94 @@ pub fn hash_qgrams_into(text: &str, q: usize, hashes: &mut Vec<u64>) {
         }));
         return;
     }
+    hashes.extend(window_slices(text, q).map(hash_str));
+}
+
+/// Every q-gram window of `text` as a slice, in order: [`qgrams`] without
+/// building the grams.
+fn window_slices(text: &str, q: usize) -> impl Iterator<Item = &str> {
     // Window k spans chars k..k + q. With fewer than q chars the only end
     // is the text's own, so the whole text is the one gram, as in `qgrams`.
     let starts = text.char_indices().map(|(at, _)| at);
     let ends = text.char_indices().map(|(at, _)| at).skip(q).chain(std::iter::once(text.len()));
-    hashes.extend(starts.zip(ends).map(|(start, end)| hash_str(&text[start..end])));
+    starts.zip(ends).map(|(start, end)| &text[start..end])
+}
+
+/// Walks the hash of every q-gram window of `values` normalised as if
+/// joined by single spaces — [`hash_qgrams_into`] over
+/// [`normalize_into`]`(values)`, window by window — and stops as soon as
+/// `visit` returns `false`. Besides each hash, `visit` gets an upper bound
+/// on how many windows follow it. Returns whether every window was
+/// visited. `values` is iterated twice.
+///
+/// All-ASCII values with `q ≤ 7` take one fused pass: each raw byte goes
+/// through the normaliser's per-byte rule into a sliding packed word that
+/// is hashed in place, and no text or hash list is built. The bound there
+/// is the raw bytes left plus one per value left: each emits at most one
+/// normalised byte, a separator or a value boundary only the joining
+/// space before the next alphanumeric byte. Other values are normalised
+/// into `text` (a working buffer, overwritten) and hashed window by
+/// window, with an exact bound.
+///
+/// # Panics
+/// Panics if `q == 0`.
+///
+/// # Examples
+/// ```
+/// use sablock_textual::{hash_str, qgrams::walk_qgram_hashes};
+/// let mut seen = Vec::new();
+/// let walked = walk_qgram_hashes(["Ab", "b!"], 2, &mut String::new(), |hash, _| {
+///     seen.push(hash);
+///     true
+/// });
+/// assert!(walked);
+/// assert_eq!(seen, [hash_str("ab"), hash_str("b "), hash_str(" b")]);
+/// ```
+pub fn walk_qgram_hashes<'a, I>(values: I, q: usize, text: &mut String, mut visit: impl FnMut(u64, usize) -> bool) -> bool
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    assert!(q > 0, "q-gram size must be positive");
+    let values = values.into_iter();
+    let (mut ascii, mut left) = (true, 0usize);
+    for value in values.clone() {
+        ascii &= value.is_ascii();
+        left += value.len() + 1;
+    }
+    if !ascii || q > MAX_PACKED_GRAM {
+        normalize_into(values, text);
+        let windows = window_slices(text, q).count();
+        return window_slices(text, q).zip((0..windows).rev()).all(|(gram, rest)| visit(hash_str(gram), rest));
+    }
+    // The packed word of `hash_qgrams_into`, fed normalised bytes as the
+    // normaliser emits them. `left` counts the raw bytes and value
+    // boundaries not yet read; a joining space is followed by the byte that
+    // emitted it.
+    let top = 8 * (q - 1);
+    let (mut word, mut emitted) = (0u64, 0usize);
+    for value in values {
+        let mut pending_space = true;
+        left -= 1;
+        for &byte in value.as_bytes() {
+            left -= 1;
+            let mut live = true;
+            normalize_ascii_byte(byte, &mut pending_space, emitted > 0, |normal| {
+                word = (word >> 8) | (u64::from(normal) << top);
+                emitted += 1;
+                live = live && (emitted < q || visit(hash_packed(word, q), left + usize::from(normal == b' ')));
+            });
+            if !live {
+                return false;
+            }
+        }
+    }
+    // Text shorter than q is its own one window; its bytes sit at the top
+    // of the word.
+    if (1..q).contains(&emitted) {
+        return visit(hash_packed(word >> (8 * (q - emitted)), emitted), 0);
+    }
+    true
 }
 
 /// Extracts padded q-grams: the string is surrounded by `q - 1` copies of a
@@ -289,6 +372,35 @@ mod proptests {
             hash_qgrams_into(&text, q, &mut hashes);
             let expected: Vec<u64> = qgrams(&text, q).iter().map(|gram| hash_str(gram)).collect();
             prop_assert_eq!(hashes, expected, "text {:?}, q {}", text, q);
+        }
+
+        #[test]
+        fn walked_windows_equal_hashed_qgrams_of_the_normalised_values(
+            values in proptest::collection::vec(arb_text(), 0..4),
+            q in 1usize..10,
+            stop in 0usize..40
+        ) {
+            let mut expected = vec![42];
+            hash_qgrams_into(&normalize(&values.join(" ")), q, &mut expected);
+            let (mut text, mut walked) = (String::from("stale"), Vec::new());
+            let complete = walk_qgram_hashes(values.iter().map(String::as_str), q, &mut text, |hash, rest| {
+                walked.push((hash, rest));
+                true
+            });
+            prop_assert!(complete);
+            let hashes: Vec<u64> = walked.iter().map(|&(hash, _)| hash).collect();
+            prop_assert_eq!(&hashes, &expected, "values {:?}, q {}", values, q);
+            for (at, &(_, rest)) in walked.iter().enumerate() {
+                prop_assert!(rest >= walked.len() - 1 - at, "window {} of {}: bound {} too small", at, walked.len(), rest);
+            }
+            // A walk stops at the first window its visitor refuses.
+            let mut visited = 0;
+            let complete = walk_qgram_hashes(values.iter().map(String::as_str), q, &mut text, |_, _| {
+                visited += 1;
+                visited <= stop
+            });
+            prop_assert_eq!(complete, expected.len() <= stop);
+            prop_assert_eq!(visited, expected.len().min(stop + 1));
         }
 
         #[test]

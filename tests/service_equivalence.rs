@@ -182,9 +182,15 @@ fn ranked_query_scores_are_exact_jaccard_over_a_cora_corpus() {
     let dataset = CoraGenerator::new(CoraConfig { num_records: 2_050, ..CoraConfig::default() }).generate().unwrap();
     let rows: Vec<Vec<Option<String>>> = dataset.records().iter().map(|record| record.values().to_vec()).collect();
     let (corpus, held_out) = rows.split_at(2_000);
+    // Copies of held-out rows tie exactly: two copies each of rows 1–5
+    // across first place, twelve of row 6 across tenth.
+    let mut corpus = corpus.to_vec();
+    for (at, copies) in [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 12)] {
+        corpus.extend(std::iter::repeat(&held_out[at]).take(copies).cloned());
+    }
     let service =
         CandidateService::new(salsh_builder().into_incremental().unwrap(), Arc::clone(dataset.schema())).unwrap();
-    service.insert_rows(corpus.to_vec()).unwrap();
+    service.insert_rows(corpus).unwrap();
     let state = service.current();
     let shingler = state.view().shingler();
 
@@ -196,7 +202,7 @@ fn ranked_query_scores_are_exact_jaccard_over_a_cora_corpus() {
     punctuated[title] = Some(format!("...{}!!! (((v2))) ;;; --", base_title.replace(' ', "--//--")));
     let probes: Vec<Vec<Option<String>>> = held_out.iter().cloned().chain([non_ascii, punctuated]).collect();
 
-    let mut ranked_candidates = 0usize;
+    let (mut ranked_candidates, mut ties_across_k) = (0usize, [0usize; 2]);
     for (at, values) in probes.into_iter().enumerate() {
         let probe = service.probe_record(&state, values).unwrap();
         let candidates = state.query(&probe).unwrap();
@@ -216,7 +222,15 @@ fn ranked_query_scores_are_exact_jaccard_over_a_cora_corpus() {
             let ((first_id, first), (second_id, second)) = (pair[0], pair[1]);
             assert!(first > second || (first == second && first_id < second_id), "probe {at}: order {pair:?}");
         }
+        // A bounded top-k gives candidates up part-way; it must still
+        // answer the prefix of the full ranking, ties included.
+        for (ties, k) in ties_across_k.iter_mut().zip([1, 10]) {
+            let top = state.query_top_k(&probe, k).unwrap();
+            assert_eq!(top.as_slice(), &ranked[..k.min(ranked.len())], "probe {at}, k {k}");
+            *ties += usize::from(ranked.len() > k && ranked[k - 1].1 == ranked[k].1);
+        }
         ranked_candidates += ranked.len();
     }
     assert!(ranked_candidates > 1_000, "the probes should rank a real workload, got {ranked_candidates} candidates");
+    assert!(ties_across_k.iter().all(|&ties| ties >= 1), "some probe must tie across the k-th place: {ties_across_k:?}");
 }
